@@ -20,22 +20,19 @@ from amnet.gru import (
 )
 from amnet.model import (
     AttentionRecord, ModelConfig, ModelParams, attend, attentive_cell_step,
-    decode_answer, encode_document, encode_question, forward_batch,
-    forward_example, init_params, load_checkpoint, memory_module, predict_batch,
-    save_checkpoint,
+    encode_document, encode_question, forward_batch, forward_example,
+    init_params, load_checkpoint, memory_module, predict_batch, save_checkpoint,
 )
 from amnet.synthetic import write_task_files
-from amnet.tensor import MacCounter, Tape, Tensor, backward, grad_check
-from amnet.training import (
-    TrainConfig, adam_step, anneal, clip_gradients, evaluate, train,
-)
+from amnet.tensor import MacCounter, Tape, Tensor, grad_check
+from amnet.training import TrainConfig, adam_step, clip_gradients, evaluate, train
 
 __all__ = [
     "AttentionRecord", "Example", "GruParams", "MacCounter", "ModelConfig",
     "ModelParams", "StackSpec", "Tape", "Tensor", "TrainConfig", "Vocabulary",
-    "adam_step", "anneal", "apply_dropout", "attend", "attentive_cell_step",
-    "backward", "batchify", "build_vocabulary", "clip_gradients", "count_ops",
-    "decode_answer", "encode_document", "encode_question", "evaluate",
+    "adam_step", "apply_dropout", "attend", "attentive_cell_step",
+    "batchify", "build_vocabulary", "clip_gradients", "count_ops",
+    "encode_document", "encode_question", "evaluate",
     "export_attention", "forward_batch", "forward_example", "grad_check",
     "gru_step", "init_params", "instrument_ops", "load_checkpoint",
     "load_task_data", "make_batch", "memory_module", "oracle_task1",

@@ -136,15 +136,13 @@ def instrument_ops(config: ModelConfig, story_shape, seed: int = 0) -> OpCountRe
 
     with MacCounter() as c_q:
         h_que = encode_question(tok((1, q)), None, params, config)
+    story = tok((s, w))
     with MacCounter() as c_doc:
-        h_sen, h_final, _ = encode_document(tok((1, s, w)), None, None,
-                                            h_que, params, config)
-    # split the document cost: re-run the word level alone on the same shapes
+        h_sen, h_final, _ = encode_document(story, None, None, h_que, params, config)
+    # split the document cost: re-run the word level alone on the same story
+    # (the tied encoder over one row per sentence)
     with MacCounter() as c_word:
-        ids2 = tok((s, w))
-        steps = [take_rows(params.embedding, ids2[:, t]) for t in range(w)]
-        run_sequence(steps, Tensor(np.zeros((s, config.size), dtype=params.dtype)),
-                     params.encoder)
+        encode_question(story, None, params, config)
     with MacCounter() as c_mem:
         memories_list, _, _ = memory_module(h_que, h_sen, None, h_final, params, config)
     with MacCounter() as c_dec:
@@ -152,16 +150,11 @@ def instrument_ops(config: ModelConfig, story_shape, seed: int = 0) -> OpCountRe
         decode_teacher_forced(memories_list, targets, params, config)
 
     with MacCounter() as c_base:
-        cell = params.memory_cell
         state = Tensor(np.zeros((1, config.size), dtype=params.dtype))
         for _ in range(config.memories):
-            ids2 = tok((s, w))
-            steps = [take_rows(params.embedding, ids2[:, t]) for t in range(w)]
-            _, vecs = run_sequence(
-                steps, Tensor(np.zeros((s, config.size), dtype=params.dtype)),
-                params.encoder)
+            vecs = encode_question(story, None, params, config)
             rows = [take_rows(vecs, np.array([j])) for j in range(s)]
-            _, state = run_sequence(rows, state, cell)
+            _, state = run_sequence(rows, state, params.memory_cell)
 
     return OpCountReport(
         question_encoder=c_q.total,
@@ -294,7 +287,7 @@ def reproduce_tasks(data_dir, tasks, budget_multiplier: float = 1.0, seed: int =
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_task_star, args))
+            reports = list(pool.map(_run_task, *zip(*args)))
     else:
         reports = [_run_task(*a) for a in args]
     if out_path is not None:
@@ -304,7 +297,3 @@ def reproduce_tasks(data_dir, tasks, budget_multiplier: float = 1.0, seed: int =
                 fh.write(f"{r.task}\t{r.name}\t{r.error_rate:.4f}\t{str(r.solved).lower()}"
                          f"\t{r.batches_used}\t{r.seconds:.1f}\n")
     return reports
-
-
-def _run_task_star(args):
-    return _run_task(*args)

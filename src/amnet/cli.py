@@ -143,9 +143,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_split(data_dir, task, which):
-    data = load_task_data(data_dir, task, with_test=(which == "test"))
-    return {"train": data.train, "val": data.val, "test": data.test}[which]
+def _load_with_vocab(path):
+    """Load a checkpoint that carries the vocabulary it was trained with."""
+    ckpt = load_checkpoint(path)
+    if ckpt.vocab is None:
+        raise ContractError("checkpoint carries no vocabulary; cannot tokenize input")
+    return ckpt
 
 
 def _encode_with(vocab: Vocabulary, data_dir, task, which):
@@ -161,9 +164,7 @@ def _encode_with(vocab: Vocabulary, data_dir, task, which):
 
 def cmd_eval(args) -> int:
     task = _check_task(args.task)
-    ckpt = load_checkpoint(args.model)
-    if ckpt.vocab is None:
-        raise ContractError("checkpoint carries no vocabulary; cannot tokenize data")
+    ckpt = _load_with_vocab(args.model)
     examples = _encode_with(ckpt.vocab, _data_dir(args), task, args.set)
     err = evaluate(ckpt.params, ckpt.config, examples)
     print(f"error_rate {err:.4f} solved {str(err < SOLVED_THRESHOLD).lower()}")
@@ -173,9 +174,7 @@ def cmd_eval(args) -> int:
 def cmd_ask(args) -> int:
     from amnet.data import EncodedExample
 
-    ckpt = load_checkpoint(args.model)
-    if ckpt.vocab is None:
-        raise ContractError("checkpoint carries no vocabulary; cannot tokenize input")
+    ckpt = _load_with_vocab(args.model)
     vocab = ckpt.vocab
     statements: list[list[str]] = []
     print("statements accumulate; '? <question>' asks, 'reset' clears, EOF exits")
@@ -213,9 +212,7 @@ def cmd_ask(args) -> int:
 
 def cmd_visualize(args) -> int:
     task = _check_task(args.task)
-    ckpt = load_checkpoint(args.model)
-    if ckpt.vocab is None:
-        raise ContractError("checkpoint carries no vocabulary; cannot tokenize data")
+    ckpt = _load_with_vocab(args.model)
     examples = _encode_with(ckpt.vocab, _data_dir(args), task, args.set)
     if not 0 <= args.index < len(examples):
         raise UsageError(f"--index {args.index} outside 0..{len(examples) - 1}")

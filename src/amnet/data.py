@@ -137,7 +137,12 @@ def parse_babi_file(path) -> list[Example]:
                     raise ParseError(f"{path}:{lineno}: empty question or answer")
                 supporting = []
                 for tok in support_text.split():
-                    ref = int(tok)
+                    try:
+                        ref = int(tok)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}:{lineno}: supporting field {tok!r} is not a line number"
+                        ) from None
                     if ref not in line_numbers:
                         raise ParseError(
                             f"{path}:{lineno}: supporting line {ref} is not a prior statement")

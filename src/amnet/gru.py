@@ -66,9 +66,9 @@ class GruParams:
 
     @classmethod
     def create(cls, d_in: int, d: int, rng: np.random.Generator,
-               dtype=np.float32, init_scale: float = 0.5) -> "GruParams":
+               dtype=np.float32) -> "GruParams":
         def w(rows, cols):
-            return Tensor(rng.uniform(-init_scale, init_scale, (rows, cols)).astype(dtype),
+            return Tensor(rng.uniform(-0.5, 0.5, (rows, cols)).astype(dtype),
                           requires_grad=True)
 
         def b():

@@ -21,7 +21,7 @@ holding sentence s of example b.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,9 @@ from amnet.tensor import (
 __all__ = [
     "AttentionParams", "AttentionRecord", "Checkpoint", "CheckpointError",
     "ForwardResult", "ModelConfig", "ModelParams", "attend",
-    "attentive_cell_step", "decode_answer", "decode_greedy",
-    "decode_teacher_forced", "encode_document", "encode_question",
-    "forward_batch", "forward_example", "init_params", "load_checkpoint",
-    "memory_module", "save_checkpoint",
+    "attentive_cell_step", "decode_greedy", "decode_teacher_forced",
+    "encode_document", "encode_question", "forward_batch", "forward_example",
+    "init_params", "load_checkpoint", "memory_module", "save_checkpoint",
 ]
 
 
@@ -87,14 +86,12 @@ class AttentionParams:
             yield f"{prefix}.{name}", getattr(self, name)
 
     @classmethod
-    def create(cls, e: int, rng: np.random.Generator, dtype=np.float32,
-               weight_scale: float = 0.5, score_scale: float = 1.0) -> "AttentionParams":
+    def create(cls, e: int, rng: np.random.Generator, dtype=np.float32) -> "AttentionParams":
         def w(rows, cols, scale):
             return Tensor(rng.uniform(-scale, scale, (rows, cols)).astype(dtype),
                           requires_grad=True)
 
-        return cls(w(e, e, weight_scale), w(e, e, weight_scale),
-                   w(e, 1, score_scale), w(2 * e, e, weight_scale))
+        return cls(w(e, e, 0.5), w(e, e, 0.5), w(e, 1, 1.0), w(2 * e, e, 0.5))
 
 
 @dataclass
@@ -230,12 +227,23 @@ def _stack_init(first: Tensor, depth: int):
     return [first] + [_zeros_like_state(b, e, first.dtype) for _ in range(depth - 1)]
 
 
+def _read_words(ids: np.ndarray, mask, params: ModelParams, config: ModelConfig,
+                training: bool, rng) -> Tensor:
+    """Final state of the tied encoder stack over each row of word ids
+    [n, L], zero-initialized; ``mask`` is None or [L, n]."""
+    n, length = ids.shape
+    steps = [take_rows(params.embedding, ids[:, t]) for t in range(length)]
+    h0 = _zeros_like_state(n, config.size, params.dtype)
+    _, final = run_sequence(steps, h0, params.encoder, mask,
+                            dropout=config.dropout, training=training, rng=rng)
+    return final
+
+
 def encode_question(question_ids, question_mask, params: ModelParams,
                     config: ModelConfig, *, training: bool = False, rng=None) -> Tensor:
     """Final state of the (tied) encoder stack over the question, zero-initialized."""
     ids = np.atleast_2d(np.asarray(question_ids, dtype=np.int64))
-    b, lq = ids.shape
-    if lq == 0:
+    if ids.shape[1] == 0:
         raise ContractError("empty question")
     m = None
     if question_mask is not None:
@@ -243,11 +251,7 @@ def encode_question(question_ids, question_mask, params: ModelParams,
         if (m.sum(axis=1) == 0).any():
             raise ContractError("a question in the batch has no tokens")
         m = m.T
-    steps = [take_rows(params.embedding, ids[:, t]) for t in range(lq)]
-    h0 = _zeros_like_state(b, config.size, params.dtype)
-    _, final = run_sequence(steps, h0, params.encoder, m,
-                            dropout=config.dropout, training=training, rng=rng)
-    return final
+    return _read_words(ids, m, params, config, training, rng)
 
 
 def encode_document(story_ids, word_mask, sentence_mask, h_que: Tensor,
@@ -274,14 +278,10 @@ def encode_document(story_ids, word_mask, sentence_mask, h_que: Tensor,
         sm = None
 
     # fold sentences into the batch: word-level runs once over [B*S] rows
-    ids2 = ids.reshape(b * s, lw)
     wm = None
     if word_mask is not None:
         wm = np.asarray(word_mask, dtype=np.float64).reshape(b * s, lw).T
-    steps = [take_rows(params.embedding, ids2[:, t]) for t in range(lw)]
-    h0 = _zeros_like_state(b * s, config.size, params.dtype)
-    _, h_wrd = run_sequence(steps, h0, params.encoder, wm,
-                            dropout=config.dropout, training=training, rng=rng)
+    h_wrd = _read_words(ids.reshape(b * s, lw), wm, params, config, training, rng)
 
     # sentence-level bidirectional pass over the per-sentence vectors
     offsets = np.arange(b, dtype=np.int64) * s
@@ -383,22 +383,6 @@ def decode_greedy(memories, params: ModelParams, config: ModelConfig,
     return np.stack(steps, axis=1), weights
 
 
-def decode_answer(memories, params: ModelParams, config: ModelConfig, mode: str,
-                  targets=None, max_answer_len: int | None = None, *,
-                  training: bool = False, rng=None):
-    """Dispatch on decoding mode; returns (logits per step, tokens, weights)."""
-    if not memories:
-        raise ContractError("decoder needs a non-empty memory matrix")
-    if mode == "teacher_forced":
-        logits_per_step, weights = decode_teacher_forced(
-            memories, targets, params, config, training=training, rng=rng)
-        return logits_per_step, None, weights
-    if mode == "free_running":
-        tokens, weights = decode_greedy(memories, params, config, max_answer_len)
-        return None, tokens, weights
-    raise ContractError(f"unknown decode mode {mode!r}")
-
-
 def cut_at_eos(token_rows: np.ndarray) -> list[list[int]]:
     """Per row: the emitted ids before the first EOS (all of them if none)."""
     out = []
@@ -412,16 +396,11 @@ def cut_at_eos(token_rows: np.ndarray) -> list[list[int]]:
 class ForwardResult:
     loss: Tensor
     n_positions: int
-    predictions: list[list[int]] | None = None
-    records: list[AttentionRecord] | None = None
-    memory_weights: list[Tensor] = field(default_factory=list)
 
 
 def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
-                  training: bool = False, rng=None,
-                  want_predictions: bool = False, want_records: bool = False) -> ForwardResult:
-    """Teacher-forced loss over a padded batch; optionally free-running
-    predictions and per-example attention records.
+                  training: bool = False, rng=None) -> ForwardResult:
+    """Teacher-forced loss over a padded batch.
 
     Loss is the mean cross entropy over real answer positions (EOS included).
     """
@@ -435,10 +414,10 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
     h_sen, h_sen_final, _ = encode_document(batch.story, batch.word_mask,
                                             batch.sentence_mask, h_que, params, config,
                                             training=training, rng=rng)
-    memories, mem_weights, mem_contexts = memory_module(
+    memories, _, _ = memory_module(
         h_que, h_sen, batch.sentence_mask, h_sen_final, params, config,
         training=training, rng=rng)
-    logits_per_step, tf_weights = decode_teacher_forced(
+    logits_per_step, _ = decode_teacher_forced(
         memories, batch.answer, params, config, training=training, rng=rng)
 
     per_row = None
@@ -448,15 +427,7 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
         per_row = term if per_row is None else add(per_row, term)
     n_positions = int(batch.answer_mask.sum())
     loss = scale(sum_all(per_row), 1.0 / n_positions)
-
-    predictions = records = None
-    if want_predictions or want_records:
-        tokens, fr_weights = decode_greedy(memories, params, config)
-        predictions = cut_at_eos(tokens)
-        if want_records:
-            records = _build_records(batch, predictions, mem_weights,
-                                     mem_contexts, fr_weights)
-    return ForwardResult(loss, n_positions, predictions, records, mem_weights)
+    return ForwardResult(loss, n_positions)
 
 
 def _build_records(batch, predictions, mem_weights, mem_contexts, dec_weights):
@@ -471,13 +442,12 @@ def _build_records(batch, predictions, mem_weights, mem_contexts, dec_weights):
     return records
 
 
-def forward_example(example, params: ModelParams, config: ModelConfig, *,
-                    training: bool = False, rng=None):
+def forward_example(example, params: ModelParams, config: ModelConfig):
     """Run one example; returns (loss, predicted token ids, AttentionRecord)."""
     batch = make_batch([example])
-    res = forward_batch(batch, params, config, training=training, rng=rng,
-                        want_predictions=True, want_records=True)
-    return res.loss, res.predictions[0], res.records[0]
+    loss = forward_batch(batch, params, config).loss
+    predictions, records = predict_batch(batch, params, config, want_records=True)
+    return loss, predictions[0], records[0]
 
 
 def predict_batch(batch, params: ModelParams, config: ModelConfig,
@@ -555,6 +525,13 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return raw
 
 
+def _read_text(fh, n: int, what: str) -> str:
+    try:
+        return _read_exact(fh, n, what).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{fh.name}: {what} is not UTF-8") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != _MAGIC:
@@ -564,19 +541,20 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (n_lines,) = struct.unpack("<I", _read_exact(fh, 4, "config count"))
         fields: dict[str, str] = {}
-        for _ in range(n_lines):
+        for i in range(n_lines):
             (ln,) = struct.unpack("<I", _read_exact(fh, 4, "config line length"))
-            key, _, value = _read_exact(fh, ln, "config line").decode("utf-8").partition("=")
+            key, _, value = _read_text(fh, ln, f"config line {i + 1}").partition("=")
             fields[key] = value
-        try:
-            config = ModelConfig(
-                size=int(fields["size"]), depth=int(fields["depth"]),
-                memories=int(fields["memories"]), dropout=float(fields["dropout"]),
-                vocab_size=int(fields["vocab_size"]),
-                max_sentence_len=int(fields["max_sentence_len"]),
-                max_answer_len=int(fields["max_answer_len"]))
-        except KeyError as missing:
-            raise CheckpointError(f"checkpoint config lacks {missing}") from None
+        values = {}
+        for name in _CONFIG_FIELDS:
+            if name not in fields:
+                raise CheckpointError(f"checkpoint config lacks {name!r}")
+            try:
+                values[name] = (float if name == "dropout" else int)(fields[name])
+            except ValueError:
+                raise CheckpointError(
+                    f"{path}: config value {name}={fields[name]!r} is malformed") from None
+        config = ModelConfig(**values)
         vocab = None
         if "vocab" in fields:
             vocab = Vocabulary(fields["vocab"].split())
@@ -586,7 +564,7 @@ def load_checkpoint(path) -> Checkpoint:
         arrays: dict[str, np.ndarray] = {}
         for _ in range(n_arrays):
             (ln,) = struct.unpack("<I", _read_exact(fh, 4, "array name length"))
-            name = _read_exact(fh, ln, "array name").decode("utf-8")
+            name = _read_text(fh, ln, "array name")
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, "array rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "array dims"))
             count = int(np.prod(dims, dtype=np.int64)) if rank else 1

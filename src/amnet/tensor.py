@@ -21,9 +21,8 @@ __all__ = [
     "ShapeError", "MaskError", "ContractError", "NumericError", "TapeError",
     "matmul", "add", "mul", "scale", "one_minus", "tanh", "sigmoid",
     "softmax_masked", "cross_entropy", "cross_entropy_rows",
-    "sum_all", "mean_all", "concat_cols", "reshape", "repeat_rows",
-    "take_rows", "interleave_rows", "mix_rows", "zeros", "constant",
-    "backward", "grad_check",
+    "sum_all", "concat_cols", "reshape", "repeat_rows",
+    "take_rows", "interleave_rows", "mix_rows", "constant", "grad_check",
 ]
 
 
@@ -83,25 +82,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; everything routes through the module-level ops.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
 
 
 class TapeNode:
@@ -156,10 +138,6 @@ class Tape:
                     t.grad = ig if t.grad is None else t.grad + ig
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    tape.backward(loss)
-
-
 class MacCounter:
     """Counts forward multiply-accumulates of ops run inside the context."""
 
@@ -200,10 +178,6 @@ def _emit(data: np.ndarray, op: str, inputs, backward_fn) -> Tensor:
         tape.nodes.append(TapeNode(inputs, out, backward_fn))
         tape._produced.add(id(out))
     return out
-
-
-def zeros(shape, dtype=np.float64) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -391,10 +365,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g, shape).copy() if shape else g,)
 
     return _emit(np.asarray(x.data.sum(), dtype=x.dtype), "sum_all", (x,), back)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.size)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:

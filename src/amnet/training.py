@@ -21,7 +21,7 @@ from amnet.tensor import ContractError, NumericError, Tape
 
 __all__ = [
     "AdamState", "AnnealSchedule", "TrainConfig", "TrainLogEntry", "TrainResult",
-    "adam_step", "anneal", "clip_gradients", "evaluate", "train", "write_log",
+    "adam_step", "clip_gradients", "evaluate", "train", "write_log",
 ]
 
 
@@ -131,14 +131,6 @@ class AnnealSchedule:
             lr /= self.factor
             self.streak = 0
         return lr
-
-
-def anneal(lr: float, history) -> float:
-    """Replay the annealing rule over (train_loss, val_error) evaluations."""
-    sched = AnnealSchedule()
-    for train_loss, val_error in history:
-        lr = sched.update(train_loss, val_error, lr)
-    return lr
 
 
 def evaluate(params: ModelParams, config: ModelConfig, examples,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,19 @@ class TestReproduce:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("task\t")
         assert len(lines) == 2
+
+    @pytest.mark.filterwarnings("ignore:expected 10,000 examples")
+    def test_parallel_jobs_match_serial(self, tmp_path):
+        for task in (1, 4):
+            write_task_files(tmp_path, task, n_train=200, n_test=50, seed=task)
+
+        def reports_without_seconds(jobs):
+            reports = reproduce_tasks(tmp_path, [1, 4], budget_multiplier=0.002, jobs=jobs)
+            return [dataclasses.replace(r, seconds=0.0) for r in reports]
+
+        parallel, serial = reports_without_seconds(2), reports_without_seconds(1)
+        assert [r.task for r in parallel] == [1, 4]
+        assert parallel == serial
 
     def test_reference_table_values(self):
         # anchor a few rows of the reference settings

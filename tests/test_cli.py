@@ -114,6 +114,34 @@ class TestEvalCmd:
         assert code == 2
 
 
+def _checkpoint_with_size_line(tmp_path, size_line: bytes):
+    config = ModelConfig(size=8, vocab_size=10, max_sentence_len=4, max_answer_len=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(config, 0), config, path, Vocabulary(list("abcdef")))
+    raw = path.read_bytes()
+    assert len(size_line) == len(b"size=8")  # keeps the length prefix valid
+    path.write_bytes(raw.replace(b"size=8", size_line, 1))
+    return ["eval", "--model", str(path), "--data-dir", str(tmp_path), "--task", "1"]
+
+
+def _babi_with_support(tmp_path, support: str):
+    (tmp_path / "qa1_single-supporting-fact_train.txt").write_text(
+        f"1 Mary moved to the hallway.\n2 Where is Mary?\thallway\t{support}\n")
+    return ["train", "--data-dir", str(tmp_path), "--task", "1", "--max-batches", "1"]
+
+
+@pytest.mark.parametrize("make_argv, where", [
+    (lambda d: _checkpoint_with_size_line(d, b"size=x"), "size='x'"),
+    (lambda d: _checkpoint_with_size_line(d, b"size=\xff"), "config line 1"),
+    (lambda d: _babi_with_support(d, "foo"), "_train.txt:2:"),
+], ids=["config-value-not-int", "config-line-not-utf8", "babi-support-not-int"])
+def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, where):
+    assert main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
 class TestAskCmd:
     def run_ask(self, trained, monkeypatch, text):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -5,7 +5,7 @@ from amnet.data import EOS, GO, EncodedExample, Vocabulary, make_batch
 from amnet.gru import ConfigError, StackSpec, gru_step, run_bidirectional, run_sequence
 from amnet.model import (
     AttentionParams, Checkpoint, CheckpointError, ModelConfig, ModelParams,
-    attend, attentive_cell_step, cut_at_eos, decode_answer, decode_greedy,
+    attend, attentive_cell_step, cut_at_eos, decode_greedy,
     decode_teacher_forced, encode_document, encode_question, forward_batch,
     forward_example, init_params, load_checkpoint, memory_module,
     save_checkpoint,
@@ -298,7 +298,7 @@ class TestDecoder:
     def test_teacher_forced_without_targets_rejected(self, setup):
         config, params, batch, memories = self.prepare(setup)
         with pytest.raises(ContractError):
-            decode_answer(memories, params, config, "teacher_forced")
+            decode_teacher_forced(memories, None, params, config)
 
     def test_greedy_matches_stepwise_argmax(self, setup):
         config, params, batch, memories = self.prepare(setup, m=2)

@@ -3,7 +3,7 @@ import pytest
 
 from amnet.tensor import (
     ContractError, MacCounter, MaskError, NumericError, ShapeError, Tape,
-    TapeError, Tensor, add, backward, concat_cols, cross_entropy,
+    TapeError, Tensor, add, concat_cols, cross_entropy,
     cross_entropy_rows, grad_check, interleave_rows, matmul, mix_rows, mul,
     one_minus, repeat_rows, reshape, scale, sigmoid, softmax_masked, sum_all,
     take_rows, tanh,
@@ -163,7 +163,7 @@ class TestBackward:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
             loss = sum_all(x)
-        backward(loss, tape)
+        tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_matmul_chain_depth3(self):

@@ -6,7 +6,7 @@ from amnet.gru import ConfigError
 from amnet.model import ModelConfig, init_params
 from amnet.tensor import ContractError, Tensor
 from amnet.training import (
-    AdamState, AnnealSchedule, TrainConfig, adam_step, anneal, clip_gradients,
+    AdamState, AnnealSchedule, TrainConfig, adam_step, clip_gradients,
     evaluate, train, write_log,
 )
 
@@ -68,6 +68,14 @@ class TestClip:
             assert norm <= max_norm + 1e-6
             for b, a in zip(before, gs):
                 assert (np.abs(a) <= np.abs(b) + 1e-12).all()
+
+
+def anneal(lr, history):
+    """Replay the default annealing rule over (train_loss, val_error) evaluations."""
+    sched = AnnealSchedule()
+    for train_loss, val_error in history:
+        lr = sched.update(train_loss, val_error, lr)
+    return lr
 
 
 class TestAnneal:
