@@ -23,7 +23,7 @@ from amnet.model import (
     AttentionRecord, ModelConfig, decode_teacher_forced, encode_document,
     encode_question, init_params, memory_module,
 )
-from amnet.tensor import MacCounter, Tensor, take_rows
+from amnet.tensor import MacCounter, Tensor
 
 __all__ = [
     "NoAnswerError", "OpCountReport", "REFERENCE_ERROR", "TASK_SETTINGS", "TASK_NAMES",
@@ -153,8 +153,7 @@ def instrument_ops(config: ModelConfig, story_shape, seed: int = 0) -> OpCountRe
         state = Tensor(np.zeros((1, config.size), dtype=params.dtype))
         for _ in range(config.memories):
             vecs = encode_question(story, None, params, config)
-            rows = [take_rows(vecs, np.array([j])) for j in range(s)]
-            _, state = run_sequence(rows, state, params.memory_cell)
+            _, state = run_sequence(vecs, state, params.memory_cell)
 
     return OpCountReport(
         question_encoder=c_q.total,

@@ -206,7 +206,11 @@ def cmd_ask(args) -> int:
             print(f"answer: {answer}")
             print(f"focus:  [{focus + 1}] {detokenize(statements[focus])}")
             continue
-        statements.append(tokenize(line))
+        statement = tokenize(line)
+        if not statement:
+            print("(empty statement)")
+            continue
+        statements.append(statement)
     return EXIT_OK
 
 

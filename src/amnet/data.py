@@ -11,6 +11,7 @@ Text is lowercased and punctuation is dropped from token streams.
 
 from __future__ import annotations
 
+import gc
 import re
 import warnings
 from dataclasses import dataclass
@@ -284,15 +285,23 @@ class TaskData:
 
 
 def load_task_data(data_dir, task: int, with_test: bool = True) -> TaskData:
-    train_raw = parse_babi_file(find_task_file(data_dir, task, "train"))
-    vocab = build_vocabulary(train_raw)
-    train_split, val_split = split_train_val(train_raw)
-    train = [vocab.encode_example(e, strict=True) for e in train_split]
-    val = [vocab.encode_example(e, strict=True) for e in val_split]
-    test = []
-    if with_test:
-        test_raw = parse_babi_file(find_task_file(data_dir, task, "test"))
-        test = [vocab.encode_example(e) for e in test_raw]
+    # the parse builds hundreds of thousands of small acyclic lists, which
+    # every cyclic collection would rescan
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train_raw = parse_babi_file(find_task_file(data_dir, task, "train"))
+        vocab = build_vocabulary(train_raw)
+        train_split, val_split = split_train_val(train_raw)
+        train = [vocab.encode_example(e, strict=True) for e in train_split]
+        val = [vocab.encode_example(e, strict=True) for e in val_split]
+        test = []
+        if with_test:
+            test_raw = parse_babi_file(find_task_file(data_dir, task, "test"))
+            test = [vocab.encode_example(e) for e in test_raw]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     everything = train + val + test
     max_sentence_len = max(len(s) for e in everything for s in e.story)
     max_answer_len = max(len(e.answer) for e in everything)

@@ -20,6 +20,8 @@ holding sentence s of example b.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -27,7 +29,8 @@ import numpy as np
 
 from amnet.data import EOS, GO, DataError, Vocabulary, make_batch
 from amnet.gru import (
-    ConfigError, StackSpec, apply_dropout, gru_step, run_bidirectional, run_sequence,
+    ConfigError, GruParams, StackSpec, apply_dropout, gru_step, run_bidirectional,
+    run_sequence,
 )
 from amnet.tensor import (
     ContractError, ShapeError, Tensor, add, concat_cols, constant,
@@ -230,11 +233,10 @@ def _stack_init(first: Tensor, depth: int):
 def _read_words(ids: np.ndarray, mask, params: ModelParams, config: ModelConfig,
                 training: bool, rng) -> Tensor:
     """Final state of the tied encoder stack over each row of word ids
-    [n, L], zero-initialized; ``mask`` is None or [L, n]."""
-    n, length = ids.shape
-    steps = [take_rows(params.embedding, ids[:, t]) for t in range(length)]
-    h0 = _zeros_like_state(n, config.size, params.dtype)
-    _, final = run_sequence(steps, h0, params.encoder, mask,
+    [n, L], zero-initialized; ``mask`` is None or [n, L]."""
+    x = take_rows(params.embedding, ids.reshape(-1))
+    h0 = _zeros_like_state(ids.shape[0], config.size, params.dtype)
+    _, final = run_sequence(x, h0, params.encoder, mask,
                             dropout=config.dropout, training=training, rng=rng)
     return final
 
@@ -250,7 +252,6 @@ def encode_question(question_ids, question_mask, params: ModelParams,
         m = np.atleast_2d(np.asarray(question_mask, dtype=np.float64))
         if (m.sum(axis=1) == 0).any():
             raise ContractError("a question in the batch has no tokens")
-        m = m.T
     return _read_words(ids, m, params, config, training, rng)
 
 
@@ -278,19 +279,14 @@ def encode_document(story_ids, word_mask, sentence_mask, h_que: Tensor,
         sm = None
 
     # fold sentences into the batch: word-level runs once over [B*S] rows
-    wm = None
-    if word_mask is not None:
-        wm = np.asarray(word_mask, dtype=np.float64).reshape(b * s, lw).T
+    wm = None if word_mask is None else np.asarray(word_mask, dtype=np.float64).reshape(b * s, lw)
     h_wrd = _read_words(ids.reshape(b * s, lw), wm, params, config, training, rng)
 
-    # sentence-level bidirectional pass over the per-sentence vectors
-    offsets = np.arange(b, dtype=np.int64) * s
-    sen_steps = [take_rows(h_wrd, offsets + j) for j in range(s)]
-    sen_states, sen_final = run_bidirectional(
-        sen_steps, h_que, h_que, params.sentence_fwd, params.sentence_bwd,
-        None if sm is None else sm.T,
+    # sentence-level bidirectional pass: row b*S+s of h_wrd is step s of story b
+    h_sen, h_sen_final = run_bidirectional(
+        h_wrd, h_que, h_que, params.sentence_fwd, params.sentence_bwd, sm,
         dropout=config.dropout, training=training, rng=rng)
-    return interleave_rows(sen_states), sen_final, s
+    return h_sen, h_sen_final, s
 
 
 def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
@@ -518,6 +514,19 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
             fh.write(arr.tobytes())
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Name -> shape of every array ``init_params(config)`` creates, without creating them."""
+    e, v, cell = config.size, config.vocab_size, GruParams.shapes(config.size, config.size)
+    att = {"w1": (e, e), "w2": (e, e), "v": (e, 1), "proj": (2 * e, e)}
+    stacks = ("encoder", "sentence_fwd", "sentence_bwd", "memory_cell", "decoder_cell")
+    return {"embedding": (v, e),
+            **{f"{s}.{i}.{n}": c for s in stacks for i in range(config.depth)
+               for n, c in cell.items()},
+            **{f"{a}.{n}": c for a in ("memory_attention", "decoder_attention")
+               for n, c in att.items()},
+            "out_w": (e, v), "out_b": (v,)}
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
     raw = fh.read(n)
     if len(raw) != n:
@@ -526,6 +535,9 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def _read_text(fh, n: int, what: str) -> str:
+    # an untrusted length never sizes a read past the end of the file
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"{fh.name}: truncated checkpoint: {what} runs past the end")
     try:
         return _read_exact(fh, n, what).decode("utf-8")
     except UnicodeDecodeError:
@@ -560,25 +572,30 @@ def load_checkpoint(path) -> Checkpoint:
             vocab = Vocabulary(fields["vocab"].split())
             if len(vocab) != config.vocab_size:
                 raise CheckpointError("stored vocabulary disagrees with vocab_size")
+        # the config fixes every array's shape: check the sizes before reading
+        # or allocating any of them
+        shapes = _param_shapes(config)
+        total, left = 4 * sum(map(math.prod, shapes.values())), os.fstat(fh.fileno()).st_size
+        left -= fh.tell()
+        if total > left:
+            raise CheckpointError(f"{path}: truncated checkpoint: the config implies "
+                                  f"{total} bytes of arrays, {left} are left")
         (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4, "array count"))
+        if n_arrays != len(shapes):
+            raise CheckpointError(f"{path}: {n_arrays} arrays, the config implies {len(shapes)}")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(n_arrays):
             (ln,) = struct.unpack("<I", _read_exact(fh, 4, "array name length"))
             name = _read_text(fh, ln, "array name")
+            if name not in shapes or name in arrays:
+                raise CheckpointError(f"{path}: unexpected array {name!r}")
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, "array rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "array dims"))
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 4 * count, f"array {name} payload")
+            if dims != shapes[name]:
+                raise CheckpointError(f"array {name} has shape {dims}, expected {shapes[name]}")
+            payload = _read_exact(fh, 4 * math.prod(dims), f"array {name} payload")
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     params = init_params(config, seed=0, dtype=np.float32)
-    expected = params.named_parameters()
-    missing = [n for n, _ in expected if n not in arrays]
-    extra = sorted(set(arrays) - {n for n, _ in expected})
-    if missing or extra:
-        raise CheckpointError(f"array set mismatch: missing {missing}, extra {extra}")
-    for name, t in expected:
-        if arrays[name].shape != t.shape:
-            raise CheckpointError(
-                f"array {name} has shape {arrays[name].shape}, expected {t.shape}")
+    for name, t in params.named_parameters():
         t.data = arrays[name]
     return Checkpoint(params, config, vocab)

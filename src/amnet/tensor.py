@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "MacCounter",
     "ShapeError", "MaskError", "ContractError", "NumericError", "TapeError",
-    "matmul", "add", "mul", "scale", "one_minus", "tanh", "sigmoid",
+    "matmul", "add", "mul", "scale", "tanh", "sigmoid",
     "softmax_masked", "cross_entropy", "cross_entropy_rows",
     "sum_all", "concat_cols", "reshape", "repeat_rows",
     "take_rows", "interleave_rows", "mix_rows", "constant", "grad_check",
@@ -246,13 +246,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _emit(x.data * c, "scale", (x,), back)
 
 
-def one_minus(x: Tensor) -> Tensor:
-    def back(g):
-        return (-g,)
-
-    return _emit(1.0 - x.data, "one_minus", (x,), back)
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
@@ -262,11 +255,15 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(y, "tanh", (x,), back)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    # split by sign so exp never overflows
+def _sigmoid(d: np.ndarray, out=None) -> np.ndarray:
+    # split by sign so exp never overflows: 1/(1+e) for d >= 0, e/(1+e) below
+    # (e <= 1, so the numerator max(e, d >= 0) is exactly 1 or e)
     e = np.exp(-np.abs(d))
-    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.maximum(e, d >= 0), 1.0 + e, out=out)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid(x.data)
 
     def back(g):
         return (g * y * (1.0 - y),)

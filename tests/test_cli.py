@@ -170,6 +170,12 @@ class TestAskCmd:
         assert self.run_ask(trained, monkeypatch, text) == 0
         assert "answer:" in capsys.readouterr().out
 
+    def test_empty_statement_is_skipped(self, trained, monkeypatch, capsys):
+        assert self.run_ask(trained, monkeypatch, "...\n? where is mary\n") == 0
+        out = capsys.readouterr().out
+        assert "(empty statement)" in out
+        assert "no statements" in out
+
 
 class TestVisualizeCmd:
     def test_writes_normalized_tsv(self, data_dir, trained, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,21 @@ class TestSyntheticGenerator:
         assert data.max_answer_len == 1
         assert data.max_sentence_len >= 5
         assert len(data.vocab) < 40
+
+    @pytest.mark.filterwarnings("ignore:expected 10,000 examples")
+    def test_load_task_data_restores_gc_state(self, tmp_path):
+        write_task_files(tmp_path, 1, n_train=20, n_test=5, seed=0)
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                load_task_data(tmp_path, 1)
+                assert gc.isenabled() == enabled
+                with pytest.raises(DataError):
+                    load_task_data(tmp_path, 3)  # no such files
+                assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
     def test_find_task_file_missing(self, tmp_path):
         with pytest.raises(DataError, match="qa3"):

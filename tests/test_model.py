@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
+import amnet.model as model_module
+from amnet.cli import main
 from amnet.data import EOS, GO, EncodedExample, Vocabulary, make_batch
 from amnet.gru import ConfigError, StackSpec, gru_step, run_bidirectional, run_sequence
 from amnet.model import (
@@ -147,8 +151,8 @@ class TestEncoders:
         config, params, rng = setup
         tokens = np.array([4, 9, 11])
         h_que = encode_question(tokens[None, :], np.ones((1, 3)), params, config)
-        steps = [take_rows(params.embedding, tokens[t:t + 1]) for t in range(3)]
-        _, sent_vec = run_sequence(steps, Tensor(np.zeros((1, 6))), params.encoder)
+        x = take_rows(params.embedding, tokens)
+        _, sent_vec = run_sequence(x, Tensor(np.zeros((1, 6))), params.encoder)
         np.testing.assert_allclose(h_que.data, sent_vec.data, atol=1e-12)
 
     def test_mutating_tied_weights_moves_both_paths(self, setup):
@@ -174,8 +178,8 @@ class TestEncoders:
         def word_vectors(sentences):
             rows = []
             for sent in sentences:
-                steps = [take_rows(params.embedding, np.array([t])) for t in sent]
-                _, final = run_sequence(steps, Tensor(np.zeros((1, 6))), params.encoder)
+                x = take_rows(params.embedding, np.array(sent))
+                _, final = run_sequence(x, Tensor(np.zeros((1, 6))), params.encoder)
                 rows.append(final.data[0])
             return np.stack(rows)
 
@@ -195,13 +199,12 @@ class TestEncoders:
         # manual: word-level per sentence, then bidirectional over the vectors
         sent_vecs = []
         for sent in ex.story:
-            steps = [take_rows(params.embedding, np.array([t])) for t in sent]
-            _, final = run_sequence(steps, Tensor(np.zeros((1, 6))), params.encoder)
-            sent_vecs.append(final)
-        states, final = run_bidirectional(sent_vecs, h_que, h_que,
+            x = take_rows(params.embedding, np.array(sent))
+            _, final = run_sequence(x, Tensor(np.zeros((1, 6))), params.encoder)
+            sent_vecs.append(final.data[0])
+        states, final = run_bidirectional(Tensor(np.vstack(sent_vecs)), h_que, h_que,
                                           params.sentence_fwd, params.sentence_bwd)
-        want = np.vstack([st.data for st in states])
-        np.testing.assert_allclose(h_sen.data, want, atol=1e-12)
+        np.testing.assert_allclose(h_sen.data, states.data, atol=1e-12)
         np.testing.assert_allclose(h_final.data, final.data, atol=1e-12)
 
     def test_single_sentence_document(self, setup):
@@ -457,6 +460,38 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", ["oversized-dims", "oversized-config"])
+    def test_untrusted_header_never_sizes_a_read(self, tmp_path, monkeypatch, corrupt):
+        config = toy_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(config, seed=7), config, path,
+                        Vocabulary([f"w{i}" for i in range(10)]))
+        raw = bytearray(path.read_bytes())
+        if corrupt == "oversized-dims":
+            # after the name: rank u8, then dims (14, 6) as u32; make it (14, 10**9)
+            at = raw.index(b"embedding") + len(b"embedding") + 1 + 4
+            raw[at:at + 4] = struct.pack("<I", 10**9)
+        else:
+            at = raw.index(b"size=6") - 4  # the line's u32 length prefix
+            line = b"size=100000"
+            raw[at:at + 10] = struct.pack("<I", len(line)) + line
+        path.write_bytes(raw)
+        sizes = []
+        read = model_module._read_exact
+        monkeypatch.setattr(model_module, "_read_exact",
+                            lambda fh, n, what: sizes.append(n) or read(fh, n, what))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert 0 < max(sizes) <= len(raw)
+        argv = ["eval", "--model", str(path), "--data-dir", str(tmp_path), "--task", "1"]
+        assert main(argv) == 2
+        assert max(sizes) <= len(raw)
+
+    def test_param_shapes_match_init_params(self):
+        config = toy_config(depth=2)
+        want = {n: t.shape for n, t in init_params(config).named_parameters()}
+        assert model_module._param_shapes(config) == want
 
     def test_double_params_round_trip_at_stored_precision(self, setup, tmp_path):
         config = toy_config()

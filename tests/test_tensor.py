@@ -5,7 +5,7 @@ from amnet.tensor import (
     ContractError, MacCounter, MaskError, NumericError, ShapeError, Tape,
     TapeError, Tensor, add, concat_cols, cross_entropy,
     cross_entropy_rows, grad_check, interleave_rows, matmul, mix_rows, mul,
-    one_minus, repeat_rows, reshape, scale, sigmoid, softmax_masked, sum_all,
+    repeat_rows, reshape, scale, sigmoid, softmax_masked, sum_all,
     take_rows, tanh,
 )
 
@@ -67,7 +67,7 @@ class TestElementwise:
         err = grad_check(lambda x, y: sum_all(mul(op(x, y), y)), [a, b])
         assert err < 1e-4
 
-    @pytest.mark.parametrize("op", [tanh, sigmoid, one_minus])
+    @pytest.mark.parametrize("op", [tanh, sigmoid])
     def test_unary_gradients(self, op):
         rng = np.random.default_rng(2)
         x = rand(rng, 4, 3)
