@@ -32,8 +32,9 @@ print()
 h_que = encode_question(batch.question, batch.question_mask, params, config)
 print("question state: shape", h_que.shape, "norm %.3f" % np.linalg.norm(h_que.data))
 
-h_sen, h_final, n_sent = encode_document(batch.story, batch.word_mask,
-                                         batch.sentence_mask, h_que, params, config)
+h_sen, h_final, n_sent = encode_document(batch.sentences, batch.sentence_word_mask,
+                                         batch.sentence_rows, batch.sentence_mask,
+                                         h_que, params, config)
 print("sentence states:", h_sen.shape, f"({n_sent} sentences x {config.size} dims)")
 
 memories, weights, _ = memory_module(h_que, h_sen, batch.sentence_mask,

@@ -138,7 +138,8 @@ def instrument_ops(config: ModelConfig, story_shape, seed: int = 0) -> OpCountRe
         h_que = encode_question(tok((1, q)), None, params, config)
     story = tok((s, w))
     with MacCounter() as c_doc:
-        h_sen, h_final, _ = encode_document(story, None, None, h_que, params, config)
+        h_sen, h_final, _ = encode_document(story, None, np.arange(s), None, h_que,
+                                            params, config)
     # split the document cost: re-run the word level alone on the same story
     # (the tied encoder over one row per sentence)
     with MacCounter() as c_word:

@@ -187,7 +187,9 @@ def split_train_val(examples):
 
 @dataclass
 class Batch:
-    """Padded id arrays plus {0,1} masks marking real positions."""
+    """Padded id arrays plus {0,1} masks marking real positions. Each distinct
+    sentence is stored once, in ``sentences``; ``story`` and ``word_mask`` are
+    that table gathered at ``sentence_rows``, padded slots sharing an all-PAD row."""
 
     story: np.ndarray          # [B, S, Lw] int64
     word_mask: np.ndarray      # [B, S, Lw]
@@ -196,6 +198,9 @@ class Batch:
     question_mask: np.ndarray  # [B, Lq]
     answer: np.ndarray         # [B, T] gold tokens then EOS, PAD beyond
     answer_mask: np.ndarray    # [B, T]
+    sentences: np.ndarray           # [U, Lw] int64, each distinct sentence once
+    sentence_word_mask: np.ndarray  # [U, Lw]
+    sentence_rows: np.ndarray       # [B, S] int64 row of ``sentences`` per slot
     examples: list[EncodedExample]
 
     @property
@@ -214,26 +219,34 @@ def make_batch(examples) -> Batch:
     q_max = max(len(e.question) for e in exs)
     t_max = max(len(e.answer) for e in exs) + 1  # room for EOS
 
-    story = np.full((b, s_max, w_max), PAD, dtype=np.int64)
-    word_mask = np.zeros((b, s_max, w_max), dtype=np.float64)
+    sentence_rows = np.zeros((b, s_max), dtype=np.int64)
     sentence_mask = np.zeros((b, s_max), dtype=np.float64)
     question = np.full((b, q_max), PAD, dtype=np.int64)
     question_mask = np.zeros((b, q_max), dtype=np.float64)
     answer = np.full((b, t_max), PAD, dtype=np.int64)
     answer_mask = np.zeros((b, t_max), dtype=np.float64)
 
+    # the empty tuple is the all-PAD row, shared by every padded slot
+    table: dict[tuple, int] = {}
     for i, e in enumerate(exs):
-        for j, sent in enumerate(e.story):
-            story[i, j, :len(sent)] = sent
-            word_mask[i, j, :len(sent)] = 1.0
-        sentence_mask[i, :len(e.story)] = 1.0
+        n = len(e.story)
+        sentence_rows[i, :n] = [table.setdefault(tuple(sent), len(table)) for sent in e.story]
+        if n < s_max:
+            sentence_rows[i, n:] = table.setdefault((), len(table))
+        sentence_mask[i, :n] = 1.0
         question[i, :len(e.question)] = e.question
         question_mask[i, :len(e.question)] = 1.0
         gold = list(e.answer) + [EOS]
         answer[i, :len(gold)] = gold
         answer_mask[i, :len(gold)] = 1.0
-    return Batch(story, word_mask, sentence_mask, question, question_mask,
-                 answer, answer_mask, exs)
+    sentences = np.full((len(table), w_max), PAD, dtype=np.int64)
+    sentence_word_mask = np.zeros((len(table), w_max), dtype=np.float64)
+    for sent, r in table.items():
+        sentences[r, :len(sent)] = sent
+        sentence_word_mask[r, :len(sent)] = 1.0
+    return Batch(sentences[sentence_rows], sentence_word_mask[sentence_rows], sentence_mask,
+                 question, question_mask, answer, answer_mask,
+                 sentences, sentence_word_mask, sentence_rows, exs)
 
 
 def batchify(examples, batch_size: int = 50, seed: int = 0) -> list[Batch]:

@@ -218,7 +218,11 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
 
 def apply_dropout(states: Tensor, rate: float, training: bool,
                   rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with prob ``rate``, scale survivors by 1/(1-rate)."""
+    """Inverted dropout: zero with prob ``rate``, scale survivors by 1/(1-rate).
+
+    One draw per row of ``states``; callers that share a row among several
+    consumers (the word level's distinct sentences) share its mask too.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0 or not training:

@@ -49,7 +49,12 @@ __all__ = [
 
 @dataclass
 class ModelConfig:
-    """Architecture sizes. One width ``size`` serves every embedding and state."""
+    """Architecture sizes. One width ``size`` serves every embedding and state.
+
+    ``dropout`` acts on every GRU layer's states in training. The word level
+    reads each distinct sentence of a batch once, so its mask is drawn once
+    per distinct row and shared by every story slot holding that sentence.
+    """
 
     size: int
     depth: int = 1
@@ -255,21 +260,24 @@ def encode_question(question_ids, question_mask, params: ModelParams,
     return _read_words(ids, m, params, config, training, rng)
 
 
-def encode_document(story_ids, word_mask, sentence_mask, h_que: Tensor,
+def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: Tensor,
                     params: ModelParams, config: ModelConfig, *,
                     training: bool = False, rng=None):
     """Word-level then sentence-level encoding.
 
+    ``sentences`` [U, Lw] holds word ids, ``word_mask`` None or [U, Lw],
+    and ``sentence_rows`` [B, S] the row of ``sentences`` read at each
+    story slot: the word level runs once per row, however many slots
+    share it (a raw [S, Lw] story passes ``np.arange(S)``).
     Returns (h_sen [B*S, e], h_sen_final [B, e], S): the sentence-level
     states to attend over (row b*S+s is sentence s of example b) and the
     fused final state. Both directions of the sentence-level encoder are
     initialized from the question state.
     """
-    ids = np.asarray(story_ids, dtype=np.int64)
-    if ids.ndim == 2:
-        ids = ids[None]
-    b, s, lw = ids.shape
-    if s == 0 or lw == 0:
+    ids = np.asarray(sentences, dtype=np.int64)
+    rows = np.atleast_2d(np.asarray(sentence_rows, dtype=np.int64))
+    s = rows.shape[1]
+    if s == 0 or ids.shape[1] == 0:
         raise ContractError("empty document")
     if sentence_mask is not None:
         sm = np.atleast_2d(np.asarray(sentence_mask, dtype=np.float64))
@@ -278,9 +286,9 @@ def encode_document(story_ids, word_mask, sentence_mask, h_que: Tensor,
     else:
         sm = None
 
-    # fold sentences into the batch: word-level runs once over [B*S] rows
-    wm = None if word_mask is None else np.asarray(word_mask, dtype=np.float64).reshape(b * s, lw)
-    h_wrd = _read_words(ids.reshape(b * s, lw), wm, params, config, training, rng)
+    # word level over the distinct rows, then one gather to the [B*S] slots
+    wm = None if word_mask is None else np.asarray(word_mask, dtype=np.float64)
+    h_wrd = take_rows(_read_words(ids, wm, params, config, training, rng), rows.reshape(-1))
 
     # sentence-level bidirectional pass: row b*S+s of h_wrd is step s of story b
     h_sen, h_sen_final = run_bidirectional(
@@ -407,9 +415,9 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
             raise DataError(f"token id {top} outside vocabulary of {config.vocab_size}")
     h_que = encode_question(batch.question, batch.question_mask, params, config,
                             training=training, rng=rng)
-    h_sen, h_sen_final, _ = encode_document(batch.story, batch.word_mask,
-                                            batch.sentence_mask, h_que, params, config,
-                                            training=training, rng=rng)
+    h_sen, h_sen_final, _ = encode_document(
+        batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
+        h_que, params, config, training=training, rng=rng)
     memories, _, _ = memory_module(
         h_que, h_sen, batch.sentence_mask, h_sen_final, params, config,
         training=training, rng=rng)
@@ -453,8 +461,9 @@ def predict_batch(batch, params: ModelParams, config: ModelConfig,
     Returns (predictions, records) where records is None unless asked for.
     """
     h_que = encode_question(batch.question, batch.question_mask, params, config)
-    h_sen, h_sen_final, _ = encode_document(batch.story, batch.word_mask,
-                                            batch.sentence_mask, h_que, params, config)
+    h_sen, h_sen_final, _ = encode_document(
+        batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
+        h_que, params, config)
     memories, mem_weights, mem_contexts = memory_module(
         h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
     tokens, fr_weights = decode_greedy(memories, params, config)

@@ -185,6 +185,46 @@ class TestBatching:
             assert batch.question_mask[i].sum() == len(e.question)
             assert batch.answer_mask[i].sum() == len(e.answer) + 1  # EOS
 
+    def test_sentence_table_reproduces_every_slot(self, sample_file):
+        encoded, _ = encode_all(sample_file)
+        batch = make_batch(encoded)
+        # stories of 2, 4 and 2 sentences; the second repeats the first's two
+        assert batch.story.shape[:2] == (3, 4)
+        for i, e in enumerate(batch.examples):
+            for j, sent in enumerate(e.story):
+                row = batch.sentence_rows[i, j]
+                want = np.full(batch.story.shape[2], PAD)
+                want[:len(sent)] = sent
+                np.testing.assert_array_equal(batch.story[i, j], want)
+                np.testing.assert_array_equal(batch.sentences[row], want)
+                np.testing.assert_array_equal(batch.sentence_word_mask[row],
+                                              batch.word_mask[i, j])
+                assert batch.word_mask[i, j].sum() == len(sent)
+
+    def test_sentence_table_rows_are_distinct(self, sample_file):
+        encoded, _ = encode_all(sample_file)
+        batch = make_batch(encoded * 3)
+        rows = {tuple(r) for r in batch.sentences}
+        assert len(rows) == len(batch.sentences) == 6 + 1  # distinct sentences + all-PAD
+        assert set(np.unique(batch.sentence_rows)) == set(range(len(batch.sentences)))
+
+    def test_padded_slots_share_one_all_pad_row(self, sample_file):
+        encoded, _ = encode_all(sample_file)
+        batch = make_batch(encoded)
+        padded = batch.sentence_rows[batch.sentence_mask == 0]
+        assert padded.size == 4 and len(set(padded)) == 1
+        assert (batch.sentences[padded[0]] == PAD).all()
+        assert (batch.sentence_word_mask[padded[0]] == 0).all()
+        assert (batch.story[batch.sentence_mask == 0] == PAD).all()
+        assert (batch.word_mask[batch.sentence_mask == 0] == 0).all()
+
+    def test_unpadded_batch_has_no_all_pad_row(self, sample_file):
+        encoded, _ = encode_all(sample_file)
+        batch = make_batch([encoded[0], encoded[2], encoded[0]])
+        assert batch.sentence_mask.all()
+        assert len(batch.sentences) == 4
+        assert batch.sentence_word_mask.sum(axis=1).min() > 0
+
     def test_answer_rows_end_with_eos(self, sample_file):
         encoded, _ = encode_all(sample_file)
         batch = make_batch(encoded)

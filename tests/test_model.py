@@ -1,9 +1,11 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 import amnet.model as model_module
+from amnet.analysis import stack_macs
 from amnet.cli import main
 from amnet.data import EOS, GO, EncodedExample, Vocabulary, make_batch
 from amnet.gru import ConfigError, StackSpec, gru_step, run_bidirectional, run_sequence
@@ -12,9 +14,9 @@ from amnet.model import (
     attend, attentive_cell_step, cut_at_eos, decode_greedy,
     decode_teacher_forced, encode_document, encode_question, forward_batch,
     forward_example, init_params, load_checkpoint, memory_module,
-    save_checkpoint,
+    predict_batch, save_checkpoint,
 )
-from amnet.tensor import ContractError, Tensor, take_rows
+from amnet.tensor import ContractError, MacCounter, Tape, Tensor, grad_check, take_rows
 
 
 def toy_config(**kw):
@@ -33,6 +35,12 @@ def toy_example(rng, n_sent=2, sent_len=3, q_len=3, ans_len=1, vocab=14):
         answer=tok(ans_len),
         supporting=[0],
     )
+
+
+def read_document(batch, h_que, params, config, **kw):
+    """`encode_document` over a batch's sentence table."""
+    return encode_document(batch.sentences, batch.sentence_word_mask, batch.sentence_rows,
+                           batch.sentence_mask, h_que, params, config, **kw)
 
 
 @pytest.fixture
@@ -167,8 +175,7 @@ class TestEncoders:
                             answer=[4], supporting=[0])
         batch = make_batch([ex])
         h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, _, _ = encode_document(batch.story, batch.word_mask,
-                                      batch.sentence_mask, h_que, params, config)
+        h_sen, _, _ = read_document(batch, h_que, params, config)
         assert h_sen.data.shape == (1, 6)
 
     def test_word_permutation_changes_only_its_sentence_row(self, setup):
@@ -194,8 +201,7 @@ class TestEncoders:
         ex = toy_example(rng, n_sent=3, sent_len=4)
         batch = make_batch([ex])
         h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, s = encode_document(batch.story, batch.word_mask,
-                                            batch.sentence_mask, h_que, params, config)
+        h_sen, h_final, s = read_document(batch, h_que, params, config)
         # manual: word-level per sentence, then bidirectional over the vectors
         sent_vecs = []
         for sent in ex.story:
@@ -212,8 +218,7 @@ class TestEncoders:
         ex = toy_example(rng, n_sent=1)
         batch = make_batch([ex])
         h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, s = encode_document(batch.story, batch.word_mask,
-                                            batch.sentence_mask, h_que, params, config)
+        h_sen, h_final, s = read_document(batch, h_que, params, config)
         assert h_sen.shape == (1, 6) and s == 1
 
     def test_empty_inputs_rejected(self, setup):
@@ -221,8 +226,8 @@ class TestEncoders:
         with pytest.raises(ContractError):
             encode_question(np.zeros((1, 0), dtype=int), None, params, config)
         with pytest.raises(ContractError):
-            encode_document(np.zeros((1, 0, 3), dtype=int), None, None,
-                            Tensor(np.zeros((1, 6))), params, config)
+            encode_document(np.zeros((0, 3), dtype=int), None, np.zeros((1, 0), dtype=int),
+                            None, Tensor(np.zeros((1, 6))), params, config)
 
 
 class TestMemoryModule:
@@ -231,8 +236,7 @@ class TestMemoryModule:
         ex = toy_example(rng, n_sent=n_sent)
         batch = make_batch([ex])
         h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = encode_document(batch.story, batch.word_mask,
-                                            batch.sentence_mask, h_que, params, config)
+        h_sen, h_final, _ = read_document(batch, h_que, params, config)
         out = memory_module(h_que, h_sen, batch.sentence_mask, h_final,
                             params, config, m=m)
         return out, h_que, h_sen, h_final, batch
@@ -281,8 +285,7 @@ class TestDecoder:
         ex.answer = list(ans)
         batch = make_batch([ex])
         h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = encode_document(batch.story, batch.word_mask,
-                                            batch.sentence_mask, h_que, params, config)
+        h_sen, h_final, _ = read_document(batch, h_que, params, config)
         memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask,
                                        h_final, params, config)
         return config, params, batch, memories
@@ -382,8 +385,7 @@ class TestForward:
         batch = make_batch([ex, big])
         assert batch.story.shape == (2, 4, 5)
         h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = encode_document(batch.story, batch.word_mask,
-                                            batch.sentence_mask, h_que, params, config)
+        h_sen, h_final, _ = read_document(batch, h_que, params, config)
         memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask,
                                        h_final, params, config)
         logits, _ = decode_teacher_forced(memories, batch.answer, params, config)
@@ -423,6 +425,92 @@ class TestForward:
         total = sum(p.loss.item() * p.n_positions for p in pieces)
         want = total / sum(p.n_positions for p in pieces)
         assert abs(batch_loss - want) < 1e-9
+
+
+def shared_batch():
+    """Two stories sharing sentences, the first padded by two slots."""
+    a, b, c = [4, 5, 6], [7, 8], [9, 10, 11]
+    exs = [EncodedExample(story=[a, b], line_numbers=[1, 2], question=[12, 4],
+                          answer=[6], supporting=[0]),
+           EncodedExample(story=[b, c, a, b], line_numbers=[1, 2, 3, 4],
+                          question=[13, 7, 9], answer=[8, 10], supporting=[1])]
+    return make_batch(exs)
+
+
+def unshared(batch):
+    """The same batch with one table row per story slot."""
+    b, s, lw = batch.story.shape
+    return dataclasses.replace(batch, sentences=batch.story.reshape(b * s, lw),
+                               sentence_word_mask=batch.word_mask.reshape(b * s, lw),
+                               sentence_rows=np.arange(b * s).reshape(b, s))
+
+
+class TestSharedSentences:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_shared_rows_equal_per_slot_rows(self, depth):
+        config = toy_config(depth=depth, memories=2)
+        params = init_params(config, seed=3, dtype=np.float64)
+        batch = shared_batch()
+        assert len(batch.sentences) == 4  # three sentences and the all-PAD row
+        results = []
+        for bt in (batch, unshared(batch)):
+            for t in params.tensors():
+                t.grad = None
+            with Tape() as tape:
+                loss = forward_batch(bt, params, config).loss
+            tape.backward(loss)
+            predictions, records = predict_batch(bt, params, config, want_records=True)
+            results.append((loss.item(), [t.grad.copy() for t in params.tensors()],
+                            predictions, records))
+        (loss_a, grads_a, pred_a, rec_a), (loss_b, grads_b, pred_b, rec_b) = results
+        assert abs(loss_a - loss_b) <= 1e-12
+        for ga, gb in zip(grads_a, grads_b):
+            np.testing.assert_allclose(ga, gb, rtol=0, atol=1e-12)
+        assert pred_a == pred_b
+        for ra, rb in zip(rec_a, rec_b):
+            np.testing.assert_array_equal(ra.memory_attention, rb.memory_attention)
+
+    def test_gradient_through_a_shared_row(self):
+        config = toy_config(size=5)
+        params = init_params(config, seed=0, dtype=np.float64)
+        batch = shared_batch()
+        tensors = [params.embedding] + [t for _, t in params.encoder.named("encoder")]
+        err = grad_check(lambda *ts: forward_batch(batch, params, config).loss, tensors,
+                         epsilon=1e-4)
+        assert err < 1e-4
+
+    def test_identical_sentences_cost_one_row(self, setup):
+        config, params, rng = setup
+        h_que = encode_question(np.array([[4, 5]]), None, params, config)
+        sent = np.array([[4, 9, 11, 6]])
+        with MacCounter() as shared:
+            encode_document(sent, None, np.zeros((1, 4), dtype=int), None, h_que, params, config)
+        with MacCounter() as per_slot:
+            encode_document(np.repeat(sent, 4, axis=0), None, np.arange(4), None, h_que,
+                            params, config)
+        with MacCounter() as one_row:
+            encode_question(sent, None, params, config)
+        assert one_row.total == 4 * stack_macs(6, 6, 1)
+        assert per_slot.total - shared.total == 3 * one_row.total
+
+    def test_dropout_is_drawn_once_per_distinct_row(self, monkeypatch):
+        config = toy_config(dropout=0.3)
+        params = init_params(config, seed=1, dtype=np.float64)
+        batch = shared_batch()
+        seen = []
+
+        def spy(x, *args, **kwargs):
+            seen.append(x.data.copy())
+            return run_bidirectional(x, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "run_bidirectional", spy)
+        forward_batch(batch, params, config, training=True, rng=np.random.default_rng(0))
+        h_wrd = seen[0].reshape(2, 4, -1)
+        # sentence b sits at slots (0, 1), (1, 0) and (1, 3); a at (0, 0) and (1, 2)
+        np.testing.assert_array_equal(h_wrd[0, 1], h_wrd[1, 0])
+        np.testing.assert_array_equal(h_wrd[0, 1], h_wrd[1, 3])
+        np.testing.assert_array_equal(h_wrd[0, 0], h_wrd[1, 2])
+        assert (h_wrd[1] == 0).any()  # dropout acted on the unpadded story
 
 
 class TestCheckpoint:
