@@ -37,7 +37,8 @@ bwd = StackSpec([GruParams.create(d, d, rng, dtype=np.float64)])
 h0 = Tensor(np.zeros((1, d)))
 states, final = run_bidirectional(steps, h0, h0, fwd, bwd)
 f_states, f_final = run_sequence(steps, h0, fwd)
-b_states, b_final = run_sequence(steps, h0, bwd, reverse=True)
+# the backward direction by hand: read the steps from the last one down
+b_states, b_final = run_sequence(Tensor(steps.data[::-1].copy()), h0, bwd)
 manual = f_final.data + b_final.data
 print("fused final:", np.round(final.data[0], 4))
 print("fwd + bwd  :", np.round(manual[0], 4))

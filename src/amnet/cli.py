@@ -177,13 +177,14 @@ def cmd_ask(args) -> int:
     ckpt = _load_with_vocab(args.model)
     vocab = ckpt.vocab
     statements: list[list[str]] = []
+    story: list[list[int]] = []  # each statement's ids, encoded once on arrival
     print("statements accumulate; '? <question>' asks, 'reset' clears, EOF exits")
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
         if line == "reset":
-            statements = []
+            statements, story = [], []
             print("(story cleared)")
             continue
         if line.startswith("?"):
@@ -195,7 +196,7 @@ def cmd_ask(args) -> int:
                 print("(empty question)")
                 continue
             ex = EncodedExample(
-                story=[vocab.encode(s) for s in statements],
+                story=story,
                 line_numbers=list(range(1, len(statements) + 1)),
                 question=vocab.encode(question),
                 answer=[0], supporting=[])
@@ -211,6 +212,7 @@ def cmd_ask(args) -> int:
             print("(empty statement)")
             continue
         statements.append(statement)
+        story.append(vocab.encode(statement))
     return EXIT_OK
 
 

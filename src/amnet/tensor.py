@@ -58,7 +58,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.type not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor created with non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -163,7 +163,7 @@ def _count_macs(n: int) -> None:
 
 
 def _finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
 
 

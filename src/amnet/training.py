@@ -87,19 +87,20 @@ def adam_step(params, grads, state: AdamState, lr: float,
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def clip_gradients(grads, max_norm: float):
-    """Scale every gradient by max_norm/g when the global L2 norm g exceeds it."""
+def clip_gradients(grads, max_norm: float) -> float:
+    """Scale every gradient in place by max_norm/g when the global L2 norm g
+    exceeds it; returns g. A non-finite g leaves the gradients as they are."""
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     for g in grads:
         total += float((g.astype(np.float64) ** 2).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm:
+    norm = float(np.sqrt(total))
+    if max_norm < norm < np.inf:
         factor = max_norm / norm
         for g in grads:
             g *= factor
-    return grads
+    return norm
 
 
 class AnnealSchedule:
@@ -175,7 +176,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
 
     Stops at max_batches, when the lr anneals below min_lr, or when the
     optional target validation error is reached. Raises NumericError with
-    the batch index and lr if the loss goes non-finite.
+    the batch index and lr if the loss or the gradient goes non-finite.
     """
     if not data.train or not data.val:
         raise DataError("training needs non-empty train and validation splits")
@@ -211,7 +212,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
             for t in tensors:
                 grads.append(t.grad if t.grad is not None else np.zeros_like(t.data))
                 t.grad = None
-            clip_gradients(grads, cfg.max_grad_norm)
+            if not np.isfinite(clip_gradients(grads, cfg.max_grad_norm)):
+                raise NumericError(f"non-finite gradient at batch {batches + 1} (lr={lr})")
             adam_step(tensors, grads, adam, lr)
             batches += 1
             window.append(loss_value)

@@ -109,20 +109,36 @@ class TestGruLayer:
     # are partly padded
     MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]], dtype=float)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradients_masked_depth2(self, reverse):
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_gradients_masked_depth2(self, pair):
         rng = np.random.default_rng(13)
         spec = StackSpec([random_params(2, 3, rng), random_params(3, 3, rng)])
+        rev = StackSpec([random_params(2, 3, rng), random_params(3, 3, rng)])
         x = Tensor(rng.normal(size=(15, 2)), requires_grad=True)
         h0 = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        h0_rev = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(15, 3)))
         tensors = [x, h0] + [t for _, t in spec.named("s")]
+        if pair:  # both directions, each layer one op over the pair of cells
+            tensors += [h0_rev] + [t for _, t in rev.named("r")]
 
         def f(x, h0, *_):
-            states, final = run_sequence(x, h0, spec, self.MASK, reverse=reverse)
+            if pair:
+                states, final = run_bidirectional(x, h0, h0_rev, spec, rev, self.MASK)
+            else:
+                states, final = run_sequence(x, h0, spec, self.MASK)
             return add(sum_all(mul(states, w)), sum_all(mul(final, final)))
 
         assert grad_check(f, tensors) < 1e-4
+
+    def test_all_ones_mask_is_no_mask(self):
+        rng = np.random.default_rng(17)
+        p = random_params(2, 3, rng)
+        x, h0 = Tensor(rng.normal(size=(15, 2))), Tensor(rng.normal(size=(3, 3)))
+        with MacCounter() as c:
+            ones = gru_layer(x, h0, p, np.ones((3, 5)))
+        np.testing.assert_array_equal(ones.data, gru_layer(x, h0, p).data)
+        assert c.total == 3 * 5 * 3 * (2 * 3 + 3 * 3 + 3)
 
     def test_macs_match_closed_form(self):
         rng = np.random.default_rng(14)
@@ -223,6 +239,64 @@ class TestRunSequence:
             return sum_all(final)
 
         assert grad_check(f, tensors) < 1e-4
+
+
+class TestPairLayer:
+    MASK = TestGruLayer.MASK
+
+    def specs(self, depth, rng):
+        return [StackSpec([random_params(2 if i == 0 else 3, 3, rng) for i in range(depth)])
+                for _ in range(2)]
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_equals_forward_plus_reversed_run(self, depth):
+        rng = np.random.default_rng(18)
+        fwd, bwd = self.specs(depth, rng)
+        x3 = rng.normal(size=(3, 5, 2))
+        h0f, h0b = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))
+        states, final = run_bidirectional(steps_tensor(x3), h0f, h0b, fwd, bwd, self.MASK)
+        f_states, f_final = run_sequence(steps_tensor(x3), h0f, fwd, self.MASK)
+        # reversing the steps puts each row's padding first, which carries h0
+        b_states, b_final = run_sequence(steps_tensor(x3[:, ::-1]), h0b, bwd,
+                                         self.MASK[:, ::-1])
+        b_states = b_states.data.reshape(3, 5, 3)[:, ::-1].reshape(15, 3)
+        np.testing.assert_allclose(states.data, f_states.data + b_states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final.data, f_final.data + b_final.data, rtol=0, atol=1e-12)
+
+    def test_gradients_masked_depth1(self):
+        rng = np.random.default_rng(19)
+        fwd, bwd = self.specs(1, rng)
+        x = Tensor(rng.normal(size=(15, 2)), requires_grad=True)
+        h0f = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        h0b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(15, 3)))
+        tensors = [x, h0f, h0b] + [t for _, t in fwd.named("f")] + [t for _, t in bwd.named("b")]
+
+        def f(x, h0f, h0b, *_):
+            states, final = run_bidirectional(x, h0f, h0b, fwd, bwd, self.MASK)
+            return add(sum_all(mul(states, w)), sum_all(mul(final, final)))
+
+        assert grad_check(f, tensors) < 1e-4
+
+    def test_one_tape_node_and_macs_per_direction(self):
+        rng = np.random.default_rng(20)
+        fwd, bwd = self.specs(1, rng)
+        x, h0 = Tensor(rng.normal(size=(15, 2))), Tensor(np.zeros((3, 6)))
+        with Tape() as tape, MacCounter() as c:
+            out = gru_layer(x, h0, fwd.layers[0], self.MASK, bwd.layers[0])
+        assert len(tape.nodes) == 1 and out.shape == (15, 6)
+        with MacCounter() as one:
+            gru_layer(x, Tensor(np.zeros((3, 3))), fwd.layers[0], self.MASK)
+        assert c.total == 2 * one.total
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_non_finite_backward_weight_names_the_op(self, depth):
+        rng = np.random.default_rng(21)
+        fwd, bwd = self.specs(depth, rng)
+        bwd.layers[0].u_z.data[0, 0] = np.inf
+        h0 = Tensor(np.ones((3, 3)))
+        with pytest.raises(NumericError, match="gru_layer"):
+            run_bidirectional(Tensor(rng.normal(size=(15, 2))), h0, h0, fwd, bwd, self.MASK)
 
 
 class TestBidirectional:

@@ -57,6 +57,16 @@ class TestClip:
         clip_gradients(g, 5.0)
         np.testing.assert_allclose(g[0], [3.0, 4.0])
 
+    def test_returns_global_norm(self):
+        assert clip_gradients([np.array([6.0, 8.0])], 5.0) == 10.0
+        assert clip_gradients([np.array([3.0])], 5.0) == 3.0
+
+    def test_non_finite_norm_leaves_gradients(self):
+        g = [np.array([np.inf, 1.0]), np.array([2.0])]
+        assert clip_gradients(g, 5.0) == np.inf
+        np.testing.assert_array_equal(g[0], [np.inf, 1.0])
+        np.testing.assert_array_equal(g[1], [2.0])
+
     def test_post_clip_norm_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -194,6 +204,27 @@ class TestTrainLoop:
         cfg = TrainConfig(lr=0.25, batch_size=2, eval_every=4, max_batches=5, seed=0)
         with pytest.raises(NumericError, match=r"batch 1.*lr=0.25"):
             train(tiny_config(), cfg, data)
+
+    def test_non_finite_gradient_aborts_before_adam(self, monkeypatch):
+        import amnet.training as T
+        from amnet.tensor import NumericError, Tape
+
+        real_backward = Tape.backward
+        seen = []
+
+        def poisoned(tape, loss):
+            real_backward(tape, loss)
+            weight = next(t for node in tape.nodes for t in node.inputs
+                          if t.requires_grad and t.grad is not None and t.data.ndim == 2)
+            weight.grad[0, 0] = np.inf
+            seen.append(weight)
+
+        monkeypatch.setattr(Tape, "backward", poisoned)
+        data = tiny_dataset()
+        cfg = TrainConfig(lr=0.25, batch_size=2, eval_every=4, max_batches=5, seed=0)
+        with pytest.raises(NumericError, match=r"non-finite gradient at batch 1 \(lr=0.25\)"):
+            train(tiny_config(), cfg, data)
+        assert len(seen) == 1 and np.isfinite(seen[0].data).all()
 
     def test_write_log_format(self, tmp_path):
         from amnet.training import TrainLogEntry
