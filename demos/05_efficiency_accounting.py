@@ -64,7 +64,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path.write_text("\n".join(generate_task(1, 1000, seed=0)) + "\n", encoding="utf-8")
     examples = parse_babi_file(path)
 vocab = build_vocabulary(examples)
-batch = batchify([vocab.encode_example(e) for e in examples], 50, seed=0)[0]
+batch = batchify(vocab.encode_examples(examples), 50, seed=0)[0]
 b, s, lw = batch.story.shape
 task1 = ModelConfig(size=32, depth=1, memories=1, vocab_size=len(vocab),
                     max_sentence_len=lw, max_answer_len=1)

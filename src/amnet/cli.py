@@ -159,7 +159,7 @@ def _encode_with(vocab: Vocabulary, data_dir, task, which):
     if which != "test":
         train_raw, val_raw = split_train_val(raw)
         raw = train_raw if which == "train" else val_raw
-    return [vocab.encode_example(e) for e in raw]
+    return vocab.encode_examples(raw)
 
 
 def cmd_eval(args) -> int:

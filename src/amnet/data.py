@@ -11,6 +11,7 @@ Text is lowercased and punctuation is dropped from token streams.
 
 from __future__ import annotations
 
+import functools
 import gc
 import re
 import warnings
@@ -51,7 +52,10 @@ def detokenize(tokens) -> str:
 
 @dataclass
 class Example:
-    """One question with its reading material, as token strings."""
+    """One question with its reading material, as token strings.
+
+    Read-only: ``parse_babi_file`` gives equal statements (and equal
+    questions and answers) of a file one shared token list."""
 
     story: list[list[str]]
     line_numbers: list[int]
@@ -62,7 +66,10 @@ class Example:
 
 @dataclass
 class EncodedExample:
-    """Example with every token mapped to a vocabulary id."""
+    """Example with every token mapped to a vocabulary id.
+
+    Read-only: ``Vocabulary.encode_examples`` gives every example that holds
+    one token list the same id list."""
 
     story: list[list[int]]
     line_numbers: list[int]
@@ -100,20 +107,34 @@ class Vocabulary:
     def decode(self, ids) -> list[str]:
         return [self.id_to_token[i] for i in ids]
 
+    def encode_examples(self, examples, strict: bool = False) -> list[EncodedExample]:
+        """Encode each distinct token list (by identity) once; the examples
+        that hold it share the resulting id list."""
+        exs = list(examples)  # keeps every list alive, so its id stays its own
+        memo: dict[int, list[int]] = {}
+
+        def ids(tokens):
+            got = memo.get(id(tokens))
+            if got is None:
+                got = memo[id(tokens)] = self.encode(tokens, strict)
+            return got
+
+        return [EncodedExample([ids(s) for s in ex.story], ex.line_numbers, ids(ex.question),
+                               ids(ex.answer), ex.supporting) for ex in exs]
+
     def encode_example(self, ex: Example, strict: bool = False) -> EncodedExample:
-        return EncodedExample(
-            story=[self.encode(s, strict) for s in ex.story],
-            line_numbers=list(ex.line_numbers),
-            question=self.encode(ex.question, strict),
-            answer=self.encode(ex.answer, strict),
-            supporting=list(ex.supporting),
-        )
+        return self.encode_examples([ex], strict)[0]
 
 
 def parse_babi_file(path) -> list[Example]:
+    """Each distinct statement, question and answer text of the file is
+    tokenized once; every example holding it shares that one list."""
     examples: list[Example] = []
     story: list[list[str]] = []
     line_numbers: list[int] = []
+    tokens_of = functools.cache(tokenize)  # one list per distinct text
+    answer_of = functools.cache(
+        lambda text: [a.strip().lower() for a in text.split(",") if a.strip()])
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -132,8 +153,8 @@ def parse_babi_file(path) -> list[Example]:
                     raise ParseError(
                         f"{path}:{lineno}: question line needs question<TAB>answer<TAB>support")
                 question_text, answer_text, support_text = parts[0], parts[1], parts[2]
-                question = tokenize(question_text)
-                answer = [a.strip().lower() for a in answer_text.split(",") if a.strip()]
+                question = tokens_of(question_text)
+                answer = answer_of(answer_text)
                 if not question or not answer:
                     raise ParseError(f"{path}:{lineno}: empty question or answer")
                 supporting = []
@@ -149,14 +170,14 @@ def parse_babi_file(path) -> list[Example]:
                             f"{path}:{lineno}: supporting line {ref} is not a prior statement")
                     supporting.append(line_numbers.index(ref))
                 examples.append(Example(
-                    story=[list(s) for s in story],
+                    story=list(story),
                     line_numbers=list(line_numbers),
                     question=question,
                     answer=answer,
                     supporting=supporting,
                 ))
             else:
-                tokens = tokenize(rest)
+                tokens = tokens_of(rest)
                 if not tokens:
                     raise ParseError(f"{path}:{lineno}: empty statement")
                 story.append(tokens)
@@ -164,13 +185,15 @@ def parse_babi_file(path) -> list[Example]:
     return examples
 
 
+def _distinct(lists):
+    """Each list once, by identity."""
+    return {id(x): x for x in lists}.values()
+
+
 def build_vocabulary(examples) -> Vocabulary:
     tokens: set[str] = set()
-    for ex in examples:
-        for sentence in ex.story:
-            tokens.update(sentence)
-        tokens.update(ex.question)
-        tokens.update(ex.answer)
+    for sentence in _distinct(s for ex in examples for s in (*ex.story, ex.question, ex.answer)):
+        tokens.update(sentence)
     return Vocabulary(sorted(tokens))
 
 
@@ -298,6 +321,12 @@ class TaskData:
 
 
 def load_task_data(data_dir, task: int, with_test: bool = True) -> TaskData:
+    """Parse, split and encode one task: train and val strictly, test with
+    UNK for tokens unseen in training.
+
+    Each distinct statement of a file is tokenized, encoded and stored once,
+    so the examples' story sentences, questions and answers are shared
+    lists and must be treated as read-only."""
     # the parse builds hundreds of thousands of small acyclic lists, which
     # every cyclic collection would rescan
     gc_was_enabled = gc.isenabled()
@@ -305,17 +334,14 @@ def load_task_data(data_dir, task: int, with_test: bool = True) -> TaskData:
     try:
         train_raw = parse_babi_file(find_task_file(data_dir, task, "train"))
         vocab = build_vocabulary(train_raw)
-        train_split, val_split = split_train_val(train_raw)
-        train = [vocab.encode_example(e, strict=True) for e in train_split]
-        val = [vocab.encode_example(e, strict=True) for e in val_split]
+        train, val = split_train_val(vocab.encode_examples(train_raw, strict=True))
         test = []
         if with_test:
-            test_raw = parse_babi_file(find_task_file(data_dir, task, "test"))
-            test = [vocab.encode_example(e) for e in test_raw]
+            test = vocab.encode_examples(parse_babi_file(find_task_file(data_dir, task, "test")))
     finally:
         if gc_was_enabled:
             gc.enable()
     everything = train + val + test
-    max_sentence_len = max(len(s) for e in everything for s in e.story)
-    max_answer_len = max(len(e.answer) for e in everything)
+    max_sentence_len = max(map(len, _distinct(s for e in everything for s in e.story)))
+    max_answer_len = max(map(len, _distinct(e.answer for e in everything)))
     return TaskData(vocab, train, val, test, max_sentence_len, max_answer_len)

@@ -604,6 +604,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"array {name} has shape {dims}, expected {shapes[name]}")
             payload = _read_exact(fh, 4 * math.prod(dims), f"array {name} payload")
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"{path}: array {name} holds non-finite values")
     params = init_params(config, seed=0, dtype=np.float32)
     for name, t in params.named_parameters():
         t.data = arrays[name]

@@ -141,16 +141,16 @@ def evaluate(params: ModelParams, config: ModelConfig, examples,
     examples = list(examples)
     if not examples:
         raise ContractError("evaluate needs at least one example")
-    top = max(max((max(s) for s in e.story), default=0) for e in examples)
-    top = max(top, max(max(e.question, default=0) for e in examples),
-              max(max(e.answer, default=0) for e in examples))
-    if top >= config.vocab_size:
-        raise ContractError(
-            f"examples use token id {top}, outside the model vocabulary of {config.vocab_size}")
     wrong = 0
     for i in range(0, len(examples), batch_size):
         chunk = examples[i:i + batch_size]
-        predictions, _ = predict_batch(make_batch(chunk), params, config)
+        batch = make_batch(chunk)
+        top = max(batch.sentences.max(initial=0), batch.question.max(initial=0),
+                  batch.answer.max(initial=0))
+        if top >= config.vocab_size:
+            raise ContractError(
+                f"examples use token id {top}, outside the model vocabulary of {config.vocab_size}")
+        predictions, _ = predict_batch(batch, params, config)
         for ex, got in zip(chunk, predictions):
             if got != ex.answer:
                 wrong += 1

@@ -304,3 +304,73 @@ class TestSyntheticGenerator:
     def test_find_task_file_missing(self, tmp_path):
         with pytest.raises(DataError, match="qa3"):
             find_task_file(tmp_path, 3, "train")
+
+
+def _make_all_distinct(path):
+    """Give every statement of a bAbi file a word of its own."""
+    lines = []
+    for k, line in enumerate(path.read_text().splitlines()):
+        head, _, rest = line.partition(" ")
+        if "\t" not in rest:
+            rest = rest.rstrip(".") + f" w{k}."
+        lines.append(f"{head} {rest}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.filterwarnings("ignore:expected 10,000 examples")
+class TestInternedLoading:
+    @pytest.mark.parametrize("task,distinct", [(1, False), (4, False), (12, False), (1, True)])
+    def test_equals_plain_encoding(self, tmp_path, task, distinct):
+        train_path, test_path = write_task_files(tmp_path, task, n_train=600, n_test=100, seed=3)
+        if distinct:
+            _make_all_distinct(train_path)
+            _make_all_distinct(test_path)
+        data = load_task_data(tmp_path, task)
+        vocab = data.vocab
+        train_raw, val_raw = split_train_val(parse_babi_file(train_path))
+        for raw, encoded in ((train_raw, data.train), (val_raw, data.val),
+                             (parse_babi_file(test_path), data.test)):
+            assert len(raw) == len(encoded)
+            for ex, got in zip(raw, encoded):
+                assert got.story == [[vocab.token_to_id[t] for t in s] for s in ex.story]
+                assert got.question == [vocab.token_to_id[t] for t in ex.question]
+                assert got.answer == [vocab.token_to_id[t] for t in ex.answer]
+                assert got.line_numbers == ex.line_numbers
+                assert got.supporting == ex.supporting
+        everything = data.train + data.val + data.test
+        assert data.max_sentence_len == max(len(s) for e in everything for s in e.story)
+        assert data.max_answer_len == max(len(e.answer) for e in everything)
+
+    def test_equal_statements_share_one_list(self, tmp_path):
+        train_path, _ = write_task_files(tmp_path, 1, n_train=600, n_test=100, seed=3)
+        raw = parse_babi_file(train_path)
+        vocab = build_vocabulary(raw)
+        encoded = vocab.encode_examples(raw, strict=True)
+        by_text, by_ids = {}, {}
+        for ex, enc in zip(raw, encoded):
+            for s, ids in zip([*ex.story, ex.question, ex.answer],
+                              [*enc.story, enc.question, enc.answer]):
+                assert by_text.setdefault(tuple(s), s) is s
+                assert by_ids.setdefault(tuple(ids), ids) is ids
+        # far fewer distinct lists than the 600 questions' story slots
+        assert len(by_text) < 300 < sum(len(ex.story) for ex in raw)
+
+    def test_unseen_test_word_maps_to_unk(self, tmp_path):
+        (tmp_path / "qa1_single-supporting-fact_train.txt").write_text(SAMPLE)
+        (tmp_path / "qa1_single-supporting-fact_test.txt").write_text(
+            "1 Mary flew to the moon.\n2 Where is Mary? \tmoon\t1\n")
+        data = load_task_data(tmp_path, 1)
+        vocab = data.vocab
+        (ex,) = data.test
+        assert ex.story == [[vocab.token_to_id["mary"], UNK, vocab.token_to_id["to"],
+                             vocab.token_to_id["the"], UNK]]
+        assert ex.answer == [UNK]
+
+    def test_hand_built_examples_encode_alike(self, sample_file):
+        raw = parse_babi_file(sample_file)
+        vocab = build_vocabulary(raw)
+        copies = [Example([list(s) for s in ex.story], list(ex.line_numbers),
+                          list(ex.question), list(ex.answer), list(ex.supporting))
+                  for ex in raw]
+        assert vocab.encode_examples(copies) == vocab.encode_examples(raw)
+        assert [vocab.encode_example(ex) for ex in copies] == vocab.encode_examples(raw)

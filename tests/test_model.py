@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import struct
 
 import numpy as np
@@ -575,6 +576,19 @@ class TestCheckpoint:
         argv = ["eval", "--model", str(path), "--data-dir", str(tmp_path), "--task", "1"]
         assert main(argv) == 2
         assert max(sizes) <= len(raw)
+
+    def test_non_finite_array_refused(self, tmp_path, monkeypatch, capsys):
+        config = toy_config(size=8)
+        params = init_params(config, seed=7, dtype=np.float32)
+        dict(params.named_parameters())["sentence_fwd.0.u_z"].data[0, 0] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, config, path, Vocabulary([f"w{i}" for i in range(10)]))
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: array sentence_fwd\.0\.u_z"):
+            load_checkpoint(path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("w4 w5\n? w6\n"))
+        assert main(["ask", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "sentence_fwd.0.u_z" in err
 
     def test_param_shapes_match_init_params(self):
         config = toy_config(depth=2)
