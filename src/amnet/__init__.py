@@ -15,9 +15,7 @@ from amnet.data import (
     Example, Vocabulary, batchify, build_vocabulary, load_task_data, make_batch,
     parse_babi_file, split_train_val,
 )
-from amnet.gru import (
-    GruParams, StackSpec, apply_dropout, gru_step, run_bidirectional, run_sequence,
-)
+from amnet.gru import GruParams, StackSpec, gru_step, run_bidirectional, run_sequence
 from amnet.model import (
     AttentionRecord, ModelConfig, ModelParams, attend, attentive_cell_step,
     encode_document, encode_question, forward_batch, forward_example,
@@ -30,7 +28,7 @@ from amnet.training import TrainConfig, adam_step, clip_gradients, evaluate, tra
 __all__ = [
     "AttentionRecord", "Example", "GruParams", "MacCounter", "ModelConfig",
     "ModelParams", "StackSpec", "Tape", "Tensor", "TrainConfig", "Vocabulary",
-    "adam_step", "apply_dropout", "attend", "attentive_cell_step",
+    "adam_step", "attend", "attentive_cell_step",
     "batchify", "build_vocabulary", "clip_gradients", "count_ops",
     "encode_document", "encode_question", "evaluate",
     "export_attention", "forward_batch", "forward_example", "grad_check",

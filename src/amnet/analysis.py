@@ -148,7 +148,7 @@ def instrument_ops(config: ModelConfig, story_shape, seed: int = 0) -> OpCountRe
         memories_list, _, _ = memory_module(h_que, h_sen, None, h_final, params, config)
     with MacCounter() as c_dec:
         targets = np.concatenate([tok((1, answer_len)), [[EOS]]], axis=1)
-        decode_teacher_forced(memories_list, targets, params, config)
+        decode_teacher_forced(memories_list, targets, params)
 
     with MacCounter() as c_base:
         state = Tensor(np.zeros((1, config.size), dtype=params.dtype))
@@ -240,13 +240,12 @@ class TaskReport:
 
 
 def _run_task(data_dir, task: int, budget_multiplier: float, seed: int,
-              lr: float, max_grad_norm: float, dropout: float) -> TaskReport:
+              lr: float, max_grad_norm: float) -> TaskReport:
     from amnet.training import TrainConfig, evaluate, train
 
     size, depth, mem, budget = TASK_SETTINGS[task]
     data = load_task_data(data_dir, task)
-    config = ModelConfig(size=size, depth=depth, memories=mem, dropout=dropout,
-                         vocab_size=len(data.vocab),
+    config = ModelConfig(size=size, depth=depth, memories=mem, vocab_size=len(data.vocab),
                          max_sentence_len=data.max_sentence_len,
                          max_answer_len=data.max_answer_len)
     cfg = TrainConfig(lr=lr, max_grad_norm=max_grad_norm,
@@ -261,7 +260,7 @@ def _run_task(data_dir, task: int, budget_multiplier: float, seed: int,
 
 def reproduce_tasks(data_dir, tasks, budget_multiplier: float = 1.0, seed: int = 0,
                      lr: float = 0.01, max_grad_norm: float = 5.0,
-                     dropout: float = 0.0, jobs: int = 1, out_path=None):
+                     jobs: int = 1, out_path=None):
     """Train each task with its bundled reference settings and report test error.
 
     Raises DataError up front, listing every missing file, if any task's
@@ -281,8 +280,7 @@ def reproduce_tasks(data_dir, tasks, budget_multiplier: float = 1.0, seed: int =
     if missing:
         raise DataError("missing bAbi data:\n" + "\n".join(missing))
 
-    args = [(data_dir, t, budget_multiplier, seed, lr, max_grad_norm, dropout)
-            for t in tasks]
+    args = [(data_dir, t, budget_multiplier, seed, lr, max_grad_norm) for t in tasks]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

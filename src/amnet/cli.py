@@ -67,7 +67,6 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--memories", type=int)
-    p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--lr", type=float, default=_DEFAULT_LR)
     p.add_argument("--clip", type=float, default=_DEFAULT_CLIP)
     p.add_argument("--seed", type=int, default=0)
@@ -120,7 +119,6 @@ def cmd_train(args) -> int:
         size=args.size or size,
         depth=args.layers or layers,
         memories=args.memories or memories,
-        dropout=args.dropout,
         vocab_size=len(data.vocab),
         max_sentence_len=data.max_sentence_len,
         max_answer_len=data.max_answer_len,

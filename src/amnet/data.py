@@ -214,8 +214,6 @@ class Batch:
     sentence is stored once, in ``sentences``; ``story`` and ``word_mask`` are
     that table gathered at ``sentence_rows``, padded slots sharing an all-PAD row."""
 
-    story: np.ndarray          # [B, S, Lw] int64
-    word_mask: np.ndarray      # [B, S, Lw]
     sentence_mask: np.ndarray  # [B, S]
     question: np.ndarray       # [B, Lq]
     question_mask: np.ndarray  # [B, Lq]
@@ -229,6 +227,16 @@ class Batch:
     @property
     def size(self) -> int:
         return len(self.examples)
+
+    @property
+    def story(self) -> np.ndarray:
+        """[B, S, Lw] int64 word ids per story slot."""
+        return self.sentences[self.sentence_rows]
+
+    @property
+    def word_mask(self) -> np.ndarray:
+        """[B, S, Lw] word mask per story slot."""
+        return self.sentence_word_mask[self.sentence_rows]
 
 
 def make_batch(examples) -> Batch:
@@ -267,8 +275,7 @@ def make_batch(examples) -> Batch:
     for sent, r in table.items():
         sentences[r, :len(sent)] = sent
         sentence_word_mask[r, :len(sent)] = 1.0
-    return Batch(sentences[sentence_rows], sentence_word_mask[sentence_rows], sentence_mask,
-                 question, question_mask, answer, answer_mask,
+    return Batch(sentence_mask, question, question_mask, answer, answer_mask,
                  sentences, sentence_word_mask, sentence_rows, exs)
 
 

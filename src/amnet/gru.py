@@ -20,12 +20,12 @@ import numpy as np
 
 from amnet.tensor import (
     ContractError, ShapeError, Tensor, _count_macs, _emit, _finite, _sigmoid, concat_cols,
-    constant, mul, take_rows,
+    constant, take_rows,
 )
 
 __all__ = [
     "ConfigError", "GruParams", "StackSpec",
-    "gru_layer", "gru_step", "run_sequence", "run_bidirectional", "apply_dropout",
+    "gru_layer", "gru_step", "run_sequence", "run_bidirectional",
 ]
 
 
@@ -276,26 +276,7 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
     return gru_layer(x, h_prev, p)
 
 
-def apply_dropout(states: Tensor, rate: float, training: bool,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with prob ``rate``, scale survivors by 1/(1-rate).
-
-    One draw per row of ``states``; callers that share a row among several
-    consumers (the word level's distinct sentences) share its mask too.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate {rate} outside [0, 1)")
-    if rate == 0.0 or not training:
-        return states
-    if rng is None:
-        raise ConfigError("training-mode dropout needs an rng")
-    keep = (rng.uniform(size=states.shape) >= rate).astype(states.data.dtype)
-    return mul(states, constant(keep / (1.0 - rate)))
-
-
-def run_sequence(x: Tensor, h0: Tensor, spec: StackSpec, mask=None, *,
-                 dropout: float = 0.0, training: bool = False,
-                 rng: np.random.Generator | None = None):
+def run_sequence(x: Tensor, h0: Tensor, spec: StackSpec, mask=None):
     """Run a (stacked) GRU over ``x`` [B*n, d_in], row b*n+t being step t of row b.
 
     ``mask`` marks real positions ([n] or [B, n]); padded steps copy state
@@ -307,27 +288,23 @@ def run_sequence(x: Tensor, h0: Tensor, spec: StackSpec, mask=None, *,
     states = x
     for li, params in enumerate(spec.layers):
         h = h0 if li == 0 else constant(np.zeros((batch, params.d), dtype=h0.data.dtype))
-        # padded tails repeat the same carried state; the final output is
-        # the dropped view of it, consistent with the states
-        states = apply_dropout(gru_layer(states, h, params, mask), dropout, training, rng)
+        states = gru_layer(states, h, params, mask)
     n = states.shape[0] // batch
     return states, take_rows(states, np.arange(batch) * n + n - 1)
 
 
 def run_bidirectional(x: Tensor, h0_fwd: Tensor, h0_bwd: Tensor,
-                      spec_fwd: StackSpec, spec_bwd: StackSpec, mask=None, *,
-                      dropout: float = 0.0, training: bool = False,
-                      rng: np.random.Generator | None = None):
+                      spec_fwd: StackSpec, spec_bwd: StackSpec, mask=None):
     """Forward and reversed runs over ``x`` fused by elementwise sum (states and finals).
 
     Each layer is one `gru_layer` over the pair of cells, so each direction's
-    layer k reads its own layer k-1 states, dropped out per direction.
+    layer k reads its own layer k-1 states.
     """
     batch, states = h0_fwd.shape[0], x
     for li, (pf, pb) in enumerate(zip(spec_fwd.layers, spec_bwd.layers, strict=True)):
         h = concat_cols(h0_fwd, h0_bwd) if li == 0 else constant(
             np.zeros((batch, 2 * pf.d), dtype=h0_fwd.data.dtype))
-        states = apply_dropout(gru_layer(states, h, pf, mask, pb), dropout, training, rng)
+        states = gru_layer(states, h, pf, mask, pb)
     first = np.arange(batch) * (states.shape[0] // batch)
     # the reversed direction ends after step 0
     return (_sum_directions(states, slice(None), slice(None)),

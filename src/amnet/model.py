@@ -29,8 +29,7 @@ import numpy as np
 
 from amnet.data import EOS, GO, DataError, Vocabulary, make_batch
 from amnet.gru import (
-    ConfigError, GruParams, StackSpec, apply_dropout, gru_step, run_bidirectional,
-    run_sequence,
+    ConfigError, GruParams, StackSpec, gru_step, run_bidirectional, run_sequence,
 )
 from amnet.tensor import (
     ContractError, ShapeError, Tensor, add, concat_cols, constant,
@@ -51,9 +50,8 @@ __all__ = [
 class ModelConfig:
     """Architecture sizes. One width ``size`` serves every embedding and state.
 
-    ``dropout`` acts on every GRU layer's states in training. The word level
-    reads each distinct sentence of a batch once, so its mask is drawn once
-    per distinct row and shared by every story slot holding that sentence.
+    Dropout is not implemented: ``dropout`` must be 0. The field stays so
+    that the checkpoint header keeps its ``dropout=`` line.
     """
 
     size: int
@@ -71,8 +69,8 @@ class ModelConfig:
             raise ConfigError(f"depth must be positive, got {self.depth}")
         if self.memories < 1:
             raise ConfigError(f"need at least one memory step, got {self.memories}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
+        if self.dropout != 0.0:
+            raise ConfigError(f"dropout {self.dropout} is not supported; only 0 is")
         if self.vocab_size < 5:
             raise ConfigError("vocabulary must hold the 4 reserved ids plus content")
         if self.max_sentence_len < 1 or self.max_answer_len < 1:
@@ -201,8 +199,7 @@ def attend(query: Tensor, states: Tensor, params: AttentionParams,
 
 
 def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
-                        att: AttentionParams, mask=None, k: int | None = None, *,
-                        dropout: float = 0.0, training: bool = False, rng=None):
+                        att: AttentionParams, mask=None, k: int | None = None):
     """One attentive recurrent step: candidate = gru(x, h); attend with the
     candidate as query; output = proj(context || candidate).
 
@@ -216,9 +213,8 @@ def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
     new_hs: list[Tensor] = []
     inp = x
     for layer, h in zip(cell.layers, hs):
-        h_new = gru_step(inp, h, layer)
-        new_hs.append(h_new)
-        inp = apply_dropout(h_new, dropout, training, rng)
+        inp = gru_step(inp, h, layer)
+        new_hs.append(inp)
     candidate = new_hs[-1]
     context, weights = attend(candidate, states, att, mask, k)
     out = matmul(concat_cols(context, candidate), att.proj)
@@ -235,19 +231,17 @@ def _stack_init(first: Tensor, depth: int):
     return [first] + [_zeros_like_state(b, e, first.dtype) for _ in range(depth - 1)]
 
 
-def _read_words(ids: np.ndarray, mask, params: ModelParams, config: ModelConfig,
-                training: bool, rng) -> Tensor:
+def _read_words(ids: np.ndarray, mask, params: ModelParams, config: ModelConfig) -> Tensor:
     """Final state of the tied encoder stack over each row of word ids
     [n, L], zero-initialized; ``mask`` is None or [n, L]."""
     x = take_rows(params.embedding, ids.reshape(-1))
     h0 = _zeros_like_state(ids.shape[0], config.size, params.dtype)
-    _, final = run_sequence(x, h0, params.encoder, mask,
-                            dropout=config.dropout, training=training, rng=rng)
+    _, final = run_sequence(x, h0, params.encoder, mask)
     return final
 
 
 def encode_question(question_ids, question_mask, params: ModelParams,
-                    config: ModelConfig, *, training: bool = False, rng=None) -> Tensor:
+                    config: ModelConfig) -> Tensor:
     """Final state of the (tied) encoder stack over the question, zero-initialized."""
     ids = np.atleast_2d(np.asarray(question_ids, dtype=np.int64))
     if ids.shape[1] == 0:
@@ -257,12 +251,11 @@ def encode_question(question_ids, question_mask, params: ModelParams,
         m = np.atleast_2d(np.asarray(question_mask, dtype=np.float64))
         if (m.sum(axis=1) == 0).any():
             raise ContractError("a question in the batch has no tokens")
-    return _read_words(ids, m, params, config, training, rng)
+    return _read_words(ids, m, params, config)
 
 
 def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: Tensor,
-                    params: ModelParams, config: ModelConfig, *,
-                    training: bool = False, rng=None):
+                    params: ModelParams, config: ModelConfig):
     """Word-level then sentence-level encoding.
 
     ``sentences`` [U, Lw] holds word ids, ``word_mask`` None or [U, Lw],
@@ -288,18 +281,16 @@ def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: T
 
     # word level over the distinct rows, then one gather to the [B*S] slots
     wm = None if word_mask is None else np.asarray(word_mask, dtype=np.float64)
-    h_wrd = take_rows(_read_words(ids, wm, params, config, training, rng), rows.reshape(-1))
+    h_wrd = take_rows(_read_words(ids, wm, params, config), rows.reshape(-1))
 
     # sentence-level bidirectional pass: row b*S+s of h_wrd is step s of story b
     h_sen, h_sen_final = run_bidirectional(
-        h_wrd, h_que, h_que, params.sentence_fwd, params.sentence_bwd, sm,
-        dropout=config.dropout, training=training, rng=rng)
+        h_wrd, h_que, h_que, params.sentence_fwd, params.sentence_bwd, sm)
     return h_sen, h_sen_final, s
 
 
 def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
-                  params: ModelParams, config: ModelConfig, m: int | None = None, *,
-                  training: bool = False, rng=None):
+                  params: ModelParams, config: ModelConfig, m: int | None = None):
     """m attentive steps over the sentence states, fed the question state.
 
     The cell starts from the document encoding (m_0 = h_sen_final).
@@ -317,8 +308,7 @@ def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tens
     k = h_sen.shape[0] // b
     for _ in range(m):
         out, hs, a, d = attentive_cell_step(
-            h_que, hs, h_sen, params.memory_cell, params.memory_attention,
-            sentence_mask, k, dropout=config.dropout, training=training, rng=rng)
+            h_que, hs, h_sen, params.memory_cell, params.memory_attention, sentence_mask, k)
         memories.append(out)
         weights.append(a)
         contexts.append(d)
@@ -329,8 +319,7 @@ def _decoder_logits(state: Tensor, params: ModelParams) -> Tensor:
     return add(matmul(state, params.out_w), params.out_b)
 
 
-def decode_teacher_forced(memories, targets, params: ModelParams, config: ModelConfig, *,
-                          training: bool = False, rng=None):
+def decode_teacher_forced(memories, targets, params: ModelParams):
     """Gold tokens drive the decoder; one logit row per target position.
 
     Step 1 consumes the GO embedding, step t+1 the embedding of target t.
@@ -351,7 +340,7 @@ def decode_teacher_forced(memories, targets, params: ModelParams, config: ModelC
         x = take_rows(params.embedding, prev)
         out, hs, a, _ = attentive_cell_step(
             x, hs, m_states, params.decoder_cell, params.decoder_attention,
-            None, len(memories), dropout=config.dropout, training=training, rng=rng)
+            None, len(memories))
         logits_per_step.append(_decoder_logits(out, params))
         weights.append(a)
         prev = tgt[:, t]
@@ -403,26 +392,25 @@ class ForwardResult:
 
 
 def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
-                  training: bool = False, rng=None) -> ForwardResult:
+                  training: bool = False) -> ForwardResult:
     """Teacher-forced loss over a padded batch.
 
     Loss is the mean cross entropy over real answer positions (EOS included).
+    ``training`` only turns on a check that every token id of the batch lies
+    inside the vocabulary (DataError otherwise); the computation is the same.
     """
     if training:
-        top = max(batch.story.max(initial=0), batch.question.max(initial=0),
+        top = max(batch.sentences.max(initial=0), batch.question.max(initial=0),
                   batch.answer.max(initial=0))
         if top >= config.vocab_size:
             raise DataError(f"token id {top} outside vocabulary of {config.vocab_size}")
-    h_que = encode_question(batch.question, batch.question_mask, params, config,
-                            training=training, rng=rng)
+    h_que = encode_question(batch.question, batch.question_mask, params, config)
     h_sen, h_sen_final, _ = encode_document(
         batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
-        h_que, params, config, training=training, rng=rng)
+        h_que, params, config)
     memories, _, _ = memory_module(
-        h_que, h_sen, batch.sentence_mask, h_sen_final, params, config,
-        training=training, rng=rng)
-    logits_per_step, _ = decode_teacher_forced(
-        memories, batch.answer, params, config, training=training, rng=rng)
+        h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
+    logits_per_step, _ = decode_teacher_forced(memories, batch.answer, params)
 
     per_row = None
     for t, logits in enumerate(logits_per_step):
@@ -575,7 +563,10 @@ def load_checkpoint(path) -> Checkpoint:
             except ValueError:
                 raise CheckpointError(
                     f"{path}: config value {name}={fields[name]!r} is malformed") from None
-        config = ModelConfig(**values)
+        try:
+            config = ModelConfig(**values)
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         vocab = None
         if "vocab" in fields:
             vocab = Vocabulary(fields["vocab"].split())

@@ -24,6 +24,11 @@ __all__ = [
     "adam_step", "clip_gradients", "evaluate", "train", "write_log",
 ]
 
+ANNEAL_PATIENCE = 3        # consecutive bad evaluations before the lr is cut
+ANNEAL_FACTOR = 2.0        # the lr is divided by this at each cut
+ANNEAL_TOLERANCE = 1e-4    # a training-loss window must beat the best by more
+MIN_LR_DIVISOR = 2 ** 10   # training stops once the lr falls below lr / this
+
 
 @dataclass
 class TrainConfig:
@@ -31,24 +36,18 @@ class TrainConfig:
     max_grad_norm: float = 5.0
     batch_size: int = 50
     eval_every: int = 1_000          # training examples between evaluations
-    anneal_patience: int = 3
-    anneal_factor: float = 2.0
     max_batches: int = 4_000
-    min_lr: float | None = None      # defaults to lr / 2**10
     target_val_error: float | None = None  # optional early stop once solved
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.max_grad_norm, self.batch_size, self.eval_every,
-               self.anneal_patience, self.anneal_factor) <= 0:
+        if min(self.lr, self.max_grad_norm, self.batch_size, self.eval_every) <= 0:
             raise ConfigError("training settings must be positive")
         if self.max_batches < 0:
             raise ConfigError("max_batches must be >= 0")
         if self.eval_every % self.batch_size:
             raise ConfigError(
                 f"eval_every {self.eval_every} not divisible by batch size {self.batch_size}")
-        if self.min_lr is None:
-            self.min_lr = self.lr / 2 ** 10
 
 
 @dataclass
@@ -104,23 +103,21 @@ def clip_gradients(grads, max_norm: float) -> float:
 
 
 class AnnealSchedule:
-    """Halve the lr after ``patience`` consecutive bad evaluations.
+    """Halve the lr after ``ANNEAL_PATIENCE`` consecutive bad evaluations.
 
     An evaluation is bad when the training-loss window fails to beat the
-    best window so far by more than ``tolerance``, or the validation error
-    rose against the previous evaluation. The streak resets after a halving.
+    best window so far by more than ``ANNEAL_TOLERANCE``, or the validation
+    error rose against the previous evaluation. The streak resets after a
+    halving.
     """
 
-    def __init__(self, patience: int = 3, factor: float = 2.0, tolerance: float = 1e-4):
-        self.patience = patience
-        self.factor = factor
-        self.tolerance = tolerance
+    def __init__(self):
         self.best_train = np.inf
         self.prev_val: float | None = None
         self.streak = 0
 
     def update(self, train_loss: float, val_error: float, lr: float) -> float:
-        train_bad = train_loss > self.best_train - self.tolerance
+        train_bad = train_loss > self.best_train - ANNEAL_TOLERANCE
         val_bad = self.prev_val is not None and val_error > self.prev_val
         self.best_train = min(self.best_train, train_loss)
         self.prev_val = val_error
@@ -128,8 +125,8 @@ class AnnealSchedule:
             self.streak += 1
         else:
             self.streak = 0
-        if self.streak >= self.patience:
-            lr /= self.factor
+        if self.streak >= ANNEAL_PATIENCE:
+            lr /= ANNEAL_FACTOR
             self.streak = 0
         return lr
 
@@ -174,9 +171,9 @@ class TrainResult:
 def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) -> TrainResult:
     """Run the full recipe over ``data``; returns the best-validation model.
 
-    Stops at max_batches, when the lr anneals below min_lr, or when the
-    optional target validation error is reached. Raises NumericError with
-    the batch index and lr if the loss or the gradient goes non-finite.
+    Stops at max_batches, when the lr anneals below lr / MIN_LR_DIVISOR, or
+    when the optional target validation error is reached. Raises NumericError
+    with the batch index and lr if the loss or the gradient goes non-finite.
     """
     if not data.train or not data.val:
         raise DataError("training needs non-empty train and validation splits")
@@ -184,8 +181,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
     params = init_params(model_config, seed=cfg.seed)
     tensors = params.tensors()
     adam = AdamState(tensors)
-    annealer = AnnealSchedule(cfg.anneal_patience, cfg.anneal_factor)
-    dropout_rng = np.random.default_rng([cfg.seed, 1])
+    annealer = AnnealSchedule()
+    min_lr = cfg.lr / MIN_LR_DIVISOR
     eval_batches = cfg.eval_every // cfg.batch_size
 
     lr = cfg.lr
@@ -201,8 +198,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
     while not stop:
         for batch in batchify(data.train, cfg.batch_size, seed=cfg.seed * 1_000_003 + epoch):
             with Tape() as tape:
-                result = forward_batch(batch, params, model_config,
-                                       training=True, rng=dropout_rng)
+                result = forward_batch(batch, params, model_config, training=True)
             loss_value = float(result.loss.data)
             if not np.isfinite(loss_value):
                 raise NumericError(
@@ -232,7 +228,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
                 if cfg.target_val_error is not None and val_error <= cfg.target_val_error:
                     stop = True
                     break
-                if lr < cfg.min_lr:
+                if lr < min_lr:
                     stop = True
                     break
             if batches >= cfg.max_batches:

@@ -33,6 +33,11 @@ class TestTrainCmd:
         assert main(["train", "--data-dir", str(data_dir), "--task", "21"]) == 1
         assert "21" in capsys.readouterr().err
 
+    def test_dropout_is_usage_error(self, capsys, data_dir):
+        argv = ["train", "--data-dir", str(data_dir), "--task", "1", "--dropout", "0.3"]
+        assert main(argv) == 1
+        assert "--dropout" in capsys.readouterr().err
+
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path), "--task", "1",
                      "--max-batches", "1"])

@@ -3,8 +3,7 @@ import pytest
 
 from amnet.analysis import gru_step_macs
 from amnet.gru import (
-    ConfigError, GruParams, StackSpec, apply_dropout, gru_layer, gru_step,
-    run_bidirectional, run_sequence,
+    GruParams, StackSpec, gru_layer, gru_step, run_bidirectional, run_sequence,
 )
 from amnet.tensor import (
     ContractError, MacCounter, NumericError, ShapeError, Tape, Tensor, add, grad_check, mul,
@@ -337,25 +336,3 @@ class TestBidirectional:
         b_states = b_states.data.reshape(2, 5, 4)[:, ::-1].reshape(10, 4)
         np.testing.assert_allclose(states.data, f_states.data + b_states, atol=1e-12)
         np.testing.assert_allclose(final.data, f_final.data + b_final.data, atol=1e-12)
-
-
-class TestDropout:
-    def test_rate_zero_is_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        assert apply_dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
-
-    def test_inference_is_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        assert apply_dropout(x, 0.2, training=False) is x
-
-    def test_rate_one_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_dropout(Tensor(np.ones(3)), 1.0, training=True)
-
-    def test_survivor_fraction_and_mean(self):
-        rng = np.random.default_rng(12)
-        x = Tensor(np.ones((400, 250)))  # 1e5 elements
-        out = apply_dropout(x, 0.1, training=True, rng=rng)
-        survivors = (out.data != 0).mean()
-        assert abs(survivors - 0.9) < 0.01
-        assert abs(out.data.mean() - 1.0) < 0.02

@@ -38,10 +38,16 @@ def toy_example(rng, n_sent=2, sent_len=3, q_len=3, ans_len=1, vocab=14):
     )
 
 
-def read_document(batch, h_que, params, config, **kw):
+def read_document(batch, h_que, params, config):
     """`encode_document` over a batch's sentence table."""
     return encode_document(batch.sentences, batch.sentence_word_mask, batch.sentence_rows,
-                           batch.sentence_mask, h_que, params, config, **kw)
+                           batch.sentence_mask, h_que, params, config)
+
+
+class TestModelConfig:
+    def test_nonzero_dropout_rejected(self):
+        with pytest.raises(ConfigError, match="dropout"):
+            toy_config(dropout=0.3)
 
 
 @pytest.fixture
@@ -293,19 +299,19 @@ class TestDecoder:
 
     def test_single_memory_attention_is_one(self, setup):
         config, params, batch, memories = self.prepare(setup, m=1)
-        logits, weights = decode_teacher_forced(memories, batch.answer, params, config)
+        logits, weights = decode_teacher_forced(memories, batch.answer, params)
         for w in weights:
             np.testing.assert_array_equal(w.data, [[1.0]])
 
     def test_single_token_answer_two_steps(self, setup):
         config, params, batch, memories = self.prepare(setup, ans=(5,))
-        logits, weights = decode_teacher_forced(memories, batch.answer, params, config)
+        logits, weights = decode_teacher_forced(memories, batch.answer, params)
         assert len(logits) == 2  # token then EOS
 
     def test_teacher_forced_without_targets_rejected(self, setup):
         config, params, batch, memories = self.prepare(setup)
         with pytest.raises(ContractError):
-            decode_teacher_forced(memories, None, params, config)
+            decode_teacher_forced(memories, None, params)
 
     def test_greedy_matches_stepwise_argmax(self, setup):
         config, params, batch, memories = self.prepare(setup, m=2)
@@ -332,7 +338,7 @@ class TestDecoder:
 
     def test_decoder_initial_state_is_last_memory(self, setup):
         config, params, batch, memories = self.prepare(setup, m=2)
-        logits, weights = decode_teacher_forced(memories, batch.answer, params, config)
+        logits, weights = decode_teacher_forced(memories, batch.answer, params)
         from amnet.tensor import interleave_rows
         m_states = interleave_rows(memories)
         x = take_rows(params.embedding, np.array([GO]))
@@ -368,7 +374,7 @@ class TestForward:
             losses.append(loss.item())
         assert abs(np.mean(losses) - np.log(20)) < 0.5
 
-    def test_deterministic_without_dropout(self, setup):
+    def test_repeated_forward_is_deterministic(self, setup):
         config, params, rng = setup
         ex = toy_example(rng)
         a = forward_example(ex, params, config)
@@ -389,7 +395,7 @@ class TestForward:
         h_sen, h_final, _ = read_document(batch, h_que, params, config)
         memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask,
                                        h_final, params, config)
-        logits, _ = decode_teacher_forced(memories, batch.answer, params, config)
+        logits, _ = decode_teacher_forced(memories, batch.answer, params)
         total = 0.0
         for t, lg in enumerate(logits):
             if batch.answer_mask[0, t]:
@@ -494,25 +500,6 @@ class TestSharedSentences:
         assert one_row.total == 4 * stack_macs(6, 6, 1)
         assert per_slot.total - shared.total == 3 * one_row.total
 
-    def test_dropout_is_drawn_once_per_distinct_row(self, monkeypatch):
-        config = toy_config(dropout=0.3)
-        params = init_params(config, seed=1, dtype=np.float64)
-        batch = shared_batch()
-        seen = []
-
-        def spy(x, *args, **kwargs):
-            seen.append(x.data.copy())
-            return run_bidirectional(x, *args, **kwargs)
-
-        monkeypatch.setattr(model_module, "run_bidirectional", spy)
-        forward_batch(batch, params, config, training=True, rng=np.random.default_rng(0))
-        h_wrd = seen[0].reshape(2, 4, -1)
-        # sentence b sits at slots (0, 1), (1, 0) and (1, 3); a at (0, 0) and (1, 2)
-        np.testing.assert_array_equal(h_wrd[0, 1], h_wrd[1, 0])
-        np.testing.assert_array_equal(h_wrd[0, 1], h_wrd[1, 3])
-        np.testing.assert_array_equal(h_wrd[0, 0], h_wrd[1, 2])
-        assert (h_wrd[1] == 0).any()  # dropout acted on the unpadded story
-
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, setup, tmp_path):
@@ -589,6 +576,23 @@ class TestCheckpoint:
         assert main(["ask", "--model", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "sentence_fwd.0.u_z" in err
+
+    @pytest.mark.parametrize("line, bad", [(b"dropout=0.0", b"dropout=0.3"),
+                                           (b"depth=1", b"depth=0")])
+    def test_bad_header_config_names_the_file(self, tmp_path, monkeypatch, capsys, line, bad):
+        config = toy_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(config, seed=7), config, path,
+                        Vocabulary([f"w{i}" for i in range(10)]))
+        raw = path.read_bytes()
+        assert raw.count(line) == 1
+        path.write_bytes(raw.replace(line, bad))  # same length, so the framing holds
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: "):
+            load_checkpoint(path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("w4 w5\n? w6\n"))
+        assert main(["ask", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and len(err.splitlines()) == 1
 
     def test_param_shapes_match_init_params(self):
         config = toy_config(depth=2)

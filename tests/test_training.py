@@ -132,8 +132,8 @@ def tiny_dataset(n_train=6, n_val=2, vocab_size=12, seed=0):
     return TaskData(vocab, train_exs, val_exs, [], 3, 1)
 
 
-def tiny_config(vocab_size=12, dropout=0.0):
-    return ModelConfig(size=8, depth=1, memories=1, dropout=dropout,
+def tiny_config(vocab_size=12):
+    return ModelConfig(size=8, depth=1, memories=1,
                        vocab_size=vocab_size, max_sentence_len=3, max_answer_len=1)
 
 
@@ -150,20 +150,19 @@ class TestTrainLoop:
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_same_seed_identical_runs(self):
-        for dropout in (0.0, 0.3):
-            outs = []
-            for _ in range(2):
-                data = tiny_dataset()
-                cfg = TrainConfig(lr=0.01, batch_size=2, eval_every=4, max_batches=12, seed=5)
-                outs.append(train(tiny_config(dropout=dropout), cfg, data))
-            a, b = outs
-            assert len(a.log) == len(b.log) == 6  # eval every 4/2 = 2 batches
-            for ea, eb in zip(a.log, b.log):
-                assert (ea.batch, ea.train_loss, ea.val_error, ea.lr) == \
-                       (eb.batch, eb.train_loss, eb.val_error, eb.lr)
-            for (_, ta), (_, tb) in zip(a.params.named_parameters(),
-                                        b.params.named_parameters()):
-                np.testing.assert_array_equal(ta.data, tb.data)
+        outs = []
+        for _ in range(2):
+            data = tiny_dataset()
+            cfg = TrainConfig(lr=0.01, batch_size=2, eval_every=4, max_batches=12, seed=5)
+            outs.append(train(tiny_config(), cfg, data))
+        a, b = outs
+        assert len(a.log) == len(b.log) == 6  # eval every 4/2 = 2 batches
+        for ea, eb in zip(a.log, b.log):
+            assert (ea.batch, ea.train_loss, ea.val_error, ea.lr) == \
+                   (eb.batch, eb.train_loss, eb.val_error, eb.lr)
+        for (_, ta), (_, tb) in zip(a.params.named_parameters(),
+                                    b.params.named_parameters()):
+            np.testing.assert_array_equal(ta.data, tb.data)
 
     def test_lr_non_increasing_and_exact_halvings(self):
         data = tiny_dataset()
