@@ -3,8 +3,11 @@
 # States are batch-first [B, d]; a sequence of n steps is one [B*n, d_in]
 # tensor (row b*n+t is step t of row b), and one GRU layer's pass over it
 # is a single tape op.
-# Padding never changes a state: masked steps copy the previous state
-# forward, so batches of ragged stories stay exact.
+# A mask marks each row's real steps, which precede its padding. Padded
+# steps are computed like any other, but nothing real depends on them: the
+# final state is taken at the last real step, and the reversed direction
+# reads each row's real steps from the last one down before its padding,
+# so batches of ragged stories stay exact.
 
 import numpy as np
 
@@ -23,12 +26,12 @@ out = gru_step(Tensor(np.ones((1, d))), h, p0)
 print("h_prev:", h.data[0], "-> h:", out.data[0], "(exactly half)")
 
 print()
-print("-- masking: a padded tail never moves the state --")
+print("-- masking: the final state is the state at the last real step --")
 spec = StackSpec([GruParams.create(d, d, rng, dtype=np.float64)])
 steps = Tensor(rng.normal(size=(4, d)))  # one row (B=1), four steps
 states, final = run_sequence(steps, Tensor(np.zeros((1, d))), spec, mask=[1, 1, 0, 0])
 print("state after step 2:", np.round(states.data[1], 4))
-print("final (2 padded steps later):", np.round(final.data[0], 4))
+print("final (2 padded steps ignored):", np.round(final.data[0], 4))
 
 print()
 print("-- bidirectional fusion is just the sum of both directions --")

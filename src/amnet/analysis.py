@@ -281,10 +281,13 @@ def reproduce_tasks(data_dir, tasks, budget_multiplier: float = 1.0, seed: int =
         raise DataError("missing bAbi data:\n" + "\n".join(missing))
 
     args = [(data_dir, t, budget_multiplier, seed, lr, max_grad_norm) for t in tasks]
-    if jobs > 1:
+    # a worker beyond one per task would only idle, and the fork start
+    # method starts every worker at the first submit
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_task, *zip(*args)))
     else:
         reports = [_run_task(*a) for a in args]

@@ -252,6 +252,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if not 0 < args.budget_multiplier < float("inf"):
+        raise UsageError(f"--budget-multiplier must be positive and finite, "
+                         f"got {args.budget_multiplier}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         tasks = [_check_task(int(t)) for t in args.tasks.split(",") if t.strip()]
     except ValueError:

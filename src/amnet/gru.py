@@ -1,15 +1,15 @@
-"""GRU cells, stacked cells, and masked sequence runners.
+"""GRU cells, stacked cells, and padded sequence runners.
 
 All state is batch-first: a hidden state is a [B, d] tensor, and a
 sequence of n steps is one [B*n, d_in] tensor whose row b*n+t is step t
-of row b; states come back in the same layout. One layer's pass over a
-whole sequence is a single tape op (`gru_layer`), and `gru_step` is its
-n = 1 case; the bidirectional runner hands each layer's two cells to one
-`gru_layer` call. Single-example code just uses B = 1.
+of row b; states come back in the same layout (single examples use B = 1).
+One layer's pass over a sequence is one tape op (`gru_layer`; `gru_step`
+is its n = 1 case), which also runs both cells of a bidirectional layer.
 
-Padding semantics: a masked step copies the previous state forward, so
-the carried state after the last step equals the state at the last real
-position, for every row of the batch independently.
+Padding: a mask marks each row's real steps, which precede its padding.
+`gru_layer` computes every step. The runners take each row's final at its
+last real step, and feed the reversed direction its real steps last to
+first, then its padding; states at padded steps are not meaningful.
 """
 
 from __future__ import annotations
@@ -115,102 +115,65 @@ class StackSpec:
         return cls(layers)
 
 
-def gru_layer(x: Tensor, h0: Tensor, p: GruParams, mask=None,
-              rev: GruParams | None = None) -> Tensor:
+def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None) -> Tensor:
     """One GRU layer over a whole sequence, recorded as a single tape op.
 
     ``x`` is [B*n, d_in], row b*n+t holding step t of row b; ``h0`` is
-    [B, d]; ``mask`` is None, [n] or [B, n]. Returns the state after every
-    step in the layout of ``x``. A second cell ``rev`` reads the steps from
-    n-1 down in the same loop, its states beside those of ``p`` (``h0``
-    [B, 2d], out [B*n, 2d]); ``x`` is shared or side by side [B*n, 2*d_in].
-    Per step: z = sig(xW_z + hU_z + b_z); r = sig(xW_r + hU_r + b_r);
-    h~ = tanh(xW_h + (r*h)U_h + b_h); h = (1-z)*h + z*h~. The input
-    projections of all steps are one matmul; a fully padded step carries h
-    and computes nothing, a partly padded one keeps h where the mask is 0.
-    The backward is BPTT over the stored gates.
+    [B, d]. Returns the state after every step, in the layout of ``x``;
+    every step of every row is computed, in the order given. A second cell
+    ``rev`` runs in the same loop on its own input columns and states
+    (``x`` [B*n, 2*d_in], ``h0`` [B, 2d], out [B*n, 2d]). Per step:
+    z = sig(xW_z + hU_z + b_z); r = sig(xW_r + hU_r + b_r);
+    h~ = tanh(xW_h + (r*h)U_h + b_h); h = (1-z)*h + z*h~. One matmul
+    projects the inputs of all steps; the backward is BPTT over the gates.
     """
     cells = (p,) if rev is None else (p, rev)
     k, d_in, d = len(cells), p.d_in, p.d
     dd = k * d  # width of the (paired) state
-    if (x.data.ndim != 2 or h0.data.ndim != 2 or x.shape[1] not in (d_in, k * d_in)
+    if (x.data.ndim != 2 or h0.data.ndim != 2 or x.shape[1] != k * d_in
             or h0.shape[1] != dd or (rev is not None and (rev.d_in, rev.d) != (d_in, d))):
         raise ShapeError(f"gru_layer of {k} {d_in}->{d} cell(s) got x {x.shape}, h0 {h0.shape}")
     (batch, _), rows = h0.shape, x.shape[0]
     if rows == 0 or rows % batch:
         raise ContractError(f"{rows} input rows do not split into {batch} nonempty sequences")
     n = rows // batch
-    m = None if mask is None else np.asarray(mask, dtype=np.float64)
-    if m is not None and m.shape not in ((n,), (batch, n)):
-        raise ContractError(f"mask shape {m.shape} does not match {batch} rows x {n} steps")
     # gate-major columns z | r | h~, one d-wide block per cell; a pair's
-    # recurrent matrix is block diagonal
-    groups = x.shape[1] // d_in  # 2 when each cell reads its own input columns
-    w, u = _blocks(cells, "w", groups), _blocks(cells, "u", k)
+    # input and recurrent matrices are block diagonal
+    w, u = _blocks(cells, "w", k), _blocks(cells, "u", k)
     xp = x.data @ w
     xp += _blocks(cells, "b", 1)
     u_zr, u_h = u[:, :2 * dd], u[:, 2 * dd:]
     dtype = np.result_type(xp, h0.data, u_zr)
-    # per real step, row and cell: six matrix products and three gate
-    # products (analysis.gru_step_macs), plus the two blend products when
-    # partly padded; the zero blocks are not counted
-    step_macs = 3 * (d_in * d + d * d + d)
-    if m is None or (m == 1.0).all():
-        empty, blend, keep = np.zeros(n, bool), np.zeros(n, bool), None
-        _count_macs(k * batch * n * step_macs)
-    else:
-        m = np.broadcast_to(m, (batch, n)).T  # [n, B]
-        empty, full = (m == 0.0).all(axis=1), (m == 1.0).all(axis=1)
-        _count_macs(k * batch * (int((~empty).sum()) * step_macs
-                                 + int((~empty & ~full).sum()) * 2 * d))
-        cols = 1 if k == 1 else dd  # the two cells of a pair read different steps
-        keep = _flip(np.broadcast_to(m.astype(dtype)[:, :, None], (n, batch, cols)), k, d,
-                     np.empty((n, batch, cols), dtype))
-        if k == 2:  # loop step t is step t of p and step n-1-t of rev
-            empty, full = empty & empty[::-1], full & full[::-1]
-        blend = ~empty & ~full
-    # step-major [n, B, .] working arrays in loop order, so each step is one
-    # contiguous block; the loop adds the recurrent terms to the
-    # pre-activations in place, and only steps it runs fill the gates
-    pre = _flip(xp.reshape(batch, n, 3 * dd).transpose(1, 0, 2), k, d,
-                np.empty((n, batch, 3 * dd), dtype))
+    # analysis.gru_step_macs per step, row and cell; zero blocks are not counted
+    _count_macs(k * batch * n * 3 * (d_in * d + d * d + d))
+    # step-major [n, B, .] working arrays, so each step is one contiguous
+    # block; the loop adds the recurrent terms to the pre-activations in place
+    pre = xp.reshape(batch, n, 3 * dd).transpose(1, 0, 2).astype(dtype, order="C")
     zr = np.empty((n, batch, 2 * dd), dtype)   # gates z | r
     omz = np.empty((n, batch, dd), dtype)      # 1 - z
     cand = np.empty((n, batch, dd), dtype)     # h~
     rh = np.empty((n, batch, dd), dtype)       # r * h, the input of U_h
     hs = np.empty((n, batch, dd), dtype)       # state after each step
-    skip, mix = empty.tolist(), blend.tolist()
     h, hu = h0.data, np.empty((batch, 2 * dd), dtype)
     for t in range(n):
-        if skip[t]:
-            hs[t] = h
-            continue
         a_zr, a_h, zr_t = pre[t, :, :2 * dd], pre[t, :, 2 * dd:], zr[t]
         a_zr += np.matmul(h, u_zr, out=hu)
         _sigmoid(a_zr, out=zr_t)
         z = zr_t[:, :dd]
         np.multiply(zr_t[:, dd:], h, out=rh[t])
         a_h += rh[t] @ u_h
-        h_new = np.subtract(1.0, z, out=omz[t]) * h + z * np.tanh(a_h, out=cand[t])
-        if mix[t]:
-            h_new = h_new * keep[t] + h * (1.0 - keep[t])
-        hs[t] = h = h_new
-    # pre holds every gate and candidate pre-activation; the sigmoid and
-    # tanh keep finite inputs finite, and _emit checks the states
+        hs[t] = h = np.subtract(1.0, z, out=omz[t]) * h + z * np.tanh(a_h, out=cand[t])
+    # pre holds every gate and candidate pre-activation (the sigmoid and
+    # tanh map finite to finite); _emit checks the states
     _finite(pre, "gru_layer")
 
     def back(g):
-        gs = _flip(g.reshape(batch, n, dd).transpose(1, 0, 2), k, d)
+        gs = g.reshape(batch, n, dd).transpose(1, 0, 2)
         prev = np.concatenate([h0.data.astype(dtype)[None], hs[:-1]])
-        rh[empty] = 0.0  # unwritten at skipped steps, whose da rows stay 0
-        da = np.zeros((n, batch, 3 * dd), dtype)
+        da = np.empty((n, batch, 3 * dd), dtype)
         dh = np.zeros((batch, dd), dtype)
         for t in range(n - 1, -1, -1):
             dh = dh + gs[t]
-            if skip[t]:
-                continue
-            # a partly padded step passes (1 - mask) of the gradient straight to h
-            dh_skip, dh = (dh * (1.0 - keep[t]), dh * keep[t]) if mix[t] else (0.0, dh)
             da_zr, da_h = da[t, :, :2 * dd], da[t, :, 2 * dd:]
             c = cand[t]
             np.multiply(dh * zr[t, :, :dd], 1.0 - c * c, out=da_h)
@@ -218,24 +181,20 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, mask=None,
             np.multiply(dh, c - prev[t], out=da_zr[:, :dd])
             np.multiply(drh, prev[t], out=da_zr[:, dd:])
             da_zr *= zr[t] * (1.0 - zr[t])
-            dh = dh * omz[t] + drh * zr[t, :, dd:] + da_zr @ u_zr.T + dh_skip
-        # gradients of the assembled matrices (U in loop order, W and b in
-        # step order), then each cell's blocks of them
-        da_x = np.empty((batch, n, 3 * dd), dtype)
-        _flip(da, k, d, da_x.transpose(1, 0, 2))
-        da_x = da_x.reshape(rows, 3 * dd)
+            dh = dh * omz[t] + drh * zr[t, :, dd:] + da_zr @ u_zr.T
+        # gradients of the assembled matrices, then each cell's blocks of them
+        da_x = da.transpose(1, 0, 2).reshape(rows, 3 * dd)
         flat = da.reshape(n * batch, 3 * dd)
         du = np.concatenate([prev.reshape(-1, dd).T @ flat[:, :2 * dd],
                              rh.reshape(-1, dd).T @ flat[:, 2 * dd:]], axis=1)
-        parts = ((x.data.T @ da_x, groups), (du, k), (da_x.sum(axis=0), 1))
+        parts = ((x.data.T @ da_x, k), (du, k), (da_x.sum(axis=0), 1))
         grads = [a.reshape(g, -1, 3, k, d)[j % g, :, i, j] for j in range(k)
                  for a, g in parts for i in range(3)]
         return (da_x @ w.T, dh, *(ga.reshape(t.shape) for ga, t in zip(grads, params)))
 
     params = [t for c in cells for _, t in c.named()]
-    states = np.empty((batch, n, dd), dtype)
-    _flip(hs, k, d, states.transpose(1, 0, 2))  # batch-major, in step order
-    return _emit(states.reshape(rows, dd), "gru_layer", (x, h0, *params), back)
+    states = hs.transpose(1, 0, 2).reshape(rows, dd)  # batch-major copy
+    return _emit(states, "gru_layer", (x, h0, *params), back)
 
 
 def _blocks(cells, kind: str, groups: int) -> np.ndarray:
@@ -253,22 +212,6 @@ def _blocks(cells, kind: str, groups: int) -> np.ndarray:
     return out.reshape(-1, 3 * k * d)
 
 
-def _flip(a: np.ndarray, k: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Copy a step-major [n, B, g*k*d] array into ``out`` (a view of the
-    same shape, or new), reversing axis 0 of the second cell's columns:
-    from step order to a pair's loop order and back. Returns ``out``; one
-    cell's ``a`` is returned as it is when no ``out`` is given."""
-    if k == 1 and out is None:
-        return a
-    out = np.empty(a.shape, a.dtype) if out is None else out
-    if k == 1:
-        out[...] = a
-        return out
-    src, dst = (v.reshape(v.shape[:2] + (-1, k, d)) for v in (a, out))
-    dst[:, :, :, 0], dst[:, :, :, 1] = src[:, :, :, 0], src[::-1, :, :, 1]
-    return out
-
-
 def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
     """One step of the cell for a [B, d_in] input: `gru_layer` with n = 1."""
     if x.shape[0] != h_prev.shape[0]:
@@ -279,36 +222,69 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
 def run_sequence(x: Tensor, h0: Tensor, spec: StackSpec, mask=None):
     """Run a (stacked) GRU over ``x`` [B*n, d_in], row b*n+t being step t of row b.
 
-    ``mask`` marks real positions ([n] or [B, n]); padded steps copy state
-    forward. ``h0`` [B, d] initializes the bottom layer, upper layers start
+    ``mask`` ([n] or [B, n]) marks each row's real steps, which precede its
+    padding. ``h0`` [B, d] initializes the bottom layer, upper layers start
     at 0. Returns (states, final): the top layer's states in the layout of
-    ``x``, and its state after the last unmasked position.
+    ``x``, not meaningful at padded steps, and each row's state at its last
+    real step.
     """
     batch = h0.shape[0]
+    *_, last = _real_steps(mask, x.shape[0], batch)
     states = x
     for li, params in enumerate(spec.layers):
         h = h0 if li == 0 else constant(np.zeros((batch, params.d), dtype=h0.data.dtype))
-        states = gru_layer(states, h, params, mask)
-    n = states.shape[0] // batch
-    return states, take_rows(states, np.arange(batch) * n + n - 1)
+        states = gru_layer(states, h, params)
+    return states, take_rows(states, last)
 
 
 def run_bidirectional(x: Tensor, h0_fwd: Tensor, h0_bwd: Tensor,
                       spec_fwd: StackSpec, spec_bwd: StackSpec, mask=None):
     """Forward and reversed runs over ``x`` fused by elementwise sum (states and finals).
 
-    Each layer is one `gru_layer` over the pair of cells, so each direction's
-    layer k reads its own layer k-1 states.
+    ``mask`` is as for `run_sequence`. Each layer is one `gru_layer` over the
+    pair of cells, each direction's layer k reading its own layer k-1 states.
+    The second cell reads each row's real steps last to first, then its
+    padding, so both cells end at the last real step, where finals are taken.
     """
-    batch, states = h0_fwd.shape[0], x
+    batch = h0_fwd.shape[0]
+    lengths, first, last = _real_steps(mask, x.shape[0], batch)
+    steps = np.arange(x.shape[0] // batch)  # rev: real steps last to first, then padding
+    rev = (first + np.where(steps < lengths, lengths - 1 - steps, steps)).reshape(-1)
+    states = _beside_reversed(x, rev)
     for li, (pf, pb) in enumerate(zip(spec_fwd.layers, spec_bwd.layers, strict=True)):
         h = concat_cols(h0_fwd, h0_bwd) if li == 0 else constant(
             np.zeros((batch, 2 * pf.d), dtype=h0_fwd.data.dtype))
-        states = gru_layer(states, h, pf, mask, pb)
-    first = np.arange(batch) * (states.shape[0] // batch)
-    # the reversed direction ends after step 0
-    return (_sum_directions(states, slice(None), slice(None)),
-            _sum_directions(states, first + states.shape[0] // batch - 1, first))
+        states = gru_layer(states, h, pf, pb)
+    return _sum_directions(states, slice(None), rev), _sum_directions(states, last, last)
+
+
+def _real_steps(mask, rows: int, batch: int):
+    """(lengths, first, last) of B sequences in ``rows`` rows under a 0/1
+    prefix ``mask`` (None, [n] or [B, n]): real lengths [B or 1, 1], first
+    rows [B, 1] and the rows of their last real steps [B] (step 0 if none)."""
+    n = rows // batch
+    if rows == 0 or rows % batch:
+        raise ContractError(f"{rows} input rows do not split into {batch} nonempty sequences")
+    lengths = np.full((1, 1), n)
+    if mask is not None:
+        m = np.asarray(mask, dtype=np.float64)
+        if m.shape not in ((n,), (batch, n)):
+            raise ContractError(f"mask shape {m.shape} does not match {batch} rows x {n} steps")
+        lengths = m.sum(axis=-1, keepdims=True).astype(np.int64).reshape(-1, 1)
+        if (m != (np.arange(n) < lengths)).any():
+            raise ContractError("mask is not a 0/1 prefix mask (real steps, then padding)")
+    first = np.arange(0, rows, n)[:, None]
+    return lengths, first, (first + np.maximum(lengths, 1) - 1)[:, 0]
+
+
+def _beside_reversed(x: Tensor, rev: np.ndarray) -> Tensor:
+    """[x | x[rev]] for a row permutation ``rev`` that is its own inverse."""
+    xd, c = x.data, x.shape[1]
+
+    def back(g):
+        return (g[:, :c] + g[rev, c:],)
+
+    return _emit(np.concatenate([xd, xd[rev]], axis=1), "run_bidirectional", (x,), back)
 
 
 def _sum_directions(states: Tensor, fwd_rows, bwd_rows) -> Tensor:

@@ -534,70 +534,78 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def _read_text(fh, n: int, what: str) -> str:
     # an untrusted length never sizes a read past the end of the file
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CheckpointError(f"{fh.name}: truncated checkpoint: {what} runs past the end")
+        raise CheckpointError(f"truncated checkpoint: {what} runs past the end")
     try:
         return _read_exact(fh, n, what).decode("utf-8")
     except UnicodeDecodeError:
-        raise CheckpointError(f"{fh.name}: {what} is not UTF-8") from None
+        raise CheckpointError(f"{what} is not UTF-8") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _MAGIC:
-            raise CheckpointError("bad magic bytes; not an AMN checkpoint")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
-        if version != _VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (n_lines,) = struct.unpack("<I", _read_exact(fh, 4, "config count"))
-        fields: dict[str, str] = {}
-        for i in range(n_lines):
-            (ln,) = struct.unpack("<I", _read_exact(fh, 4, "config line length"))
-            key, _, value = _read_text(fh, ln, f"config line {i + 1}").partition("=")
-            fields[key] = value
-        values = {}
-        for name in _CONFIG_FIELDS:
-            if name not in fields:
-                raise CheckpointError(f"checkpoint config lacks {name!r}")
-            try:
-                values[name] = (float if name == "dropout" else int)(fields[name])
-            except ValueError:
-                raise CheckpointError(
-                    f"{path}: config value {name}={fields[name]!r} is malformed") from None
-        try:
-            config = ModelConfig(**values)
-        except ConfigError as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
-        vocab = None
-        if "vocab" in fields:
-            vocab = Vocabulary(fields["vocab"].split())
-            if len(vocab) != config.vocab_size:
-                raise CheckpointError("stored vocabulary disagrees with vocab_size")
-        # the config fixes every array's shape: check the sizes before reading
-        # or allocating any of them
-        shapes = _param_shapes(config)
-        total, left = 4 * sum(map(math.prod, shapes.values())), os.fstat(fh.fileno()).st_size
-        left -= fh.tell()
-        if total > left:
-            raise CheckpointError(f"{path}: truncated checkpoint: the config implies "
-                                  f"{total} bytes of arrays, {left} are left")
-        (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4, "array count"))
-        if n_arrays != len(shapes):
-            raise CheckpointError(f"{path}: {n_arrays} arrays, the config implies {len(shapes)}")
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(n_arrays):
-            (ln,) = struct.unpack("<I", _read_exact(fh, 4, "array name length"))
-            name = _read_text(fh, ln, "array name")
-            if name not in shapes or name in arrays:
-                raise CheckpointError(f"{path}: unexpected array {name!r}")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, "array rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "array dims"))
-            if dims != shapes[name]:
-                raise CheckpointError(f"array {name} has shape {dims}, expected {shapes[name]}")
-            payload = _read_exact(fh, 4 * math.prod(dims), f"array {name} payload")
-            arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-            if not np.isfinite(arrays[name]).all():
-                raise CheckpointError(f"{path}: array {name} holds non-finite values")
+    """Read a `save_checkpoint` file; every CheckpointError names ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            config, vocab, arrays = _read_checkpoint(fh)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     params = init_params(config, seed=0, dtype=np.float32)
     for name, t in params.named_parameters():
         t.data = arrays[name]
     return Checkpoint(params, config, vocab)
+
+
+def _read_checkpoint(fh):
+    if _read_exact(fh, 4, "magic") != _MAGIC:
+        raise CheckpointError("bad magic bytes; not an AMN checkpoint")
+    (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+    if version != _VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (n_lines,) = struct.unpack("<I", _read_exact(fh, 4, "config count"))
+    fields: dict[str, str] = {}
+    for i in range(n_lines):
+        (ln,) = struct.unpack("<I", _read_exact(fh, 4, "config line length"))
+        key, _, value = _read_text(fh, ln, f"config line {i + 1}").partition("=")
+        fields[key] = value
+    values = {}
+    for name in _CONFIG_FIELDS:
+        if name not in fields:
+            raise CheckpointError(f"checkpoint config lacks {name!r}")
+        try:
+            values[name] = (float if name == "dropout" else int)(fields[name])
+        except ValueError:
+            raise CheckpointError(f"config value {name}={fields[name]!r} is malformed") from None
+    try:
+        config = ModelConfig(**values)
+    except ConfigError as exc:
+        raise CheckpointError(str(exc)) from None
+    vocab = None
+    if "vocab" in fields:
+        vocab = Vocabulary(fields["vocab"].split())
+        if len(vocab) != config.vocab_size:
+            raise CheckpointError("stored vocabulary disagrees with vocab_size")
+    # the config fixes every array's shape: check the sizes before reading
+    # or allocating any of them
+    shapes = _param_shapes(config)
+    total, left = 4 * sum(map(math.prod, shapes.values())), os.fstat(fh.fileno()).st_size
+    left -= fh.tell()
+    if total > left:
+        raise CheckpointError(f"truncated checkpoint: the config implies "
+                              f"{total} bytes of arrays, {left} are left")
+    (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4, "array count"))
+    if n_arrays != len(shapes):
+        raise CheckpointError(f"{n_arrays} arrays, the config implies {len(shapes)}")
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(n_arrays):
+        (ln,) = struct.unpack("<I", _read_exact(fh, 4, "array name length"))
+        name = _read_text(fh, ln, "array name")
+        if name not in shapes or name in arrays:
+            raise CheckpointError(f"unexpected array {name!r}")
+        (rank,) = struct.unpack("<B", _read_exact(fh, 1, "array rank"))
+        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "array dims"))
+        if dims != shapes[name]:
+            raise CheckpointError(f"array {name} has shape {dims}, expected {shapes[name]}")
+        payload = _read_exact(fh, 4 * math.prod(dims), f"array {name} payload")
+        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"array {name} holds non-finite values")
+    return config, vocab, arrays

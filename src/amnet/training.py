@@ -41,8 +41,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.max_grad_norm, self.batch_size, self.eval_every) <= 0:
-            raise ConfigError("training settings must be positive")
+        if (min(self.lr, self.max_grad_norm, self.batch_size, self.eval_every) <= 0
+                or not np.isfinite([self.lr, self.max_grad_norm]).all()):
+            raise ConfigError("training settings must be positive and finite")
         if self.max_batches < 0:
             raise ConfigError("max_batches must be >= 0")
         if self.eval_every % self.batch_size:
@@ -89,8 +90,8 @@ def adam_step(params, grads, state: AdamState, lr: float,
 def clip_gradients(grads, max_norm: float) -> float:
     """Scale every gradient in place by max_norm/g when the global L2 norm g
     exceeds it; returns g. A non-finite g leaves the gradients as they are."""
-    if max_norm <= 0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
+    if not 0 < max_norm < np.inf:
+        raise ConfigError(f"max_norm must be positive and finite, got {max_norm}")
     total = 0.0
     for g in grads:
         total += float((g.astype(np.float64) ** 2).sum())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amnet.analysis import (
-    REFERENCE_ERROR, TASK_SETTINGS, TASK_NAMES, NoAnswerError, OpCountReport,
+    REFERENCE_ERROR, TASK_SETTINGS, TASK_NAMES, NoAnswerError, OpCountReport, TaskReport,
     attend_macs, count_ops, export_attention, gru_step_macs, instrument_ops,
     oracle_task1, reproduce_tasks, stack_macs,
 )
@@ -173,6 +173,34 @@ class TestReproduce:
         parallel, serial = reports_without_seconds(2), reports_without_seconds(1)
         assert [r.task for r in parallel] == [1, 4]
         assert parallel == serial
+
+    def test_pool_never_larger_than_task_list(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        import amnet.analysis as A
+
+        for task in (1, 4):
+            write_task_files(tmp_path, task, n_train=20, n_test=5, seed=task)
+        sizes = []
+
+        class StandIn:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+        monkeypatch.setattr(A, "_run_task", lambda data_dir, task, *_: TaskReport(
+            task, TASK_NAMES[task], 0.0, True, 1, 0.0))
+        reports = reproduce_tasks(tmp_path, [1, 4], jobs=64)
+        assert sizes == [2] and [r.task for r in reports] == [1, 4]
 
     def test_reference_table_values(self):
         # anchor a few rows of the reference settings

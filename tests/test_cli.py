@@ -1,4 +1,5 @@
 import io
+import struct
 import sys
 
 import numpy as np
@@ -37,6 +38,14 @@ class TestTrainCmd:
         argv = ["train", "--data-dir", str(data_dir), "--task", "1", "--dropout", "0.3"]
         assert main(argv) == 1
         assert "--dropout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--lr", "--clip"])
+    def test_non_finite_setting_is_data_error(self, capsys, data_dir, flag):
+        with pytest.warns(UserWarning):  # non-standard split size
+            code = main(["train", "--data-dir", str(data_dir), "--task", "1", flag, "nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
 
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path), "--task", "1",
@@ -119,13 +128,21 @@ class TestEvalCmd:
         assert code == 2
 
 
-def _checkpoint_with_size_line(tmp_path, size_line: bytes):
+def _corrupt_checkpoint(tmp_path, damage):
     config = ModelConfig(size=8, vocab_size=10, max_sentence_len=4, max_answer_len=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_params(config, 0), config, path, Vocabulary(list("abcdef")))
-    raw = path.read_bytes()
-    assert len(size_line) == len(b"size=8")  # keeps the length prefix valid
-    path.write_bytes(raw.replace(b"size=8", size_line, 1))
+    path.write_bytes(damage(path.read_bytes()))
+    return path
+
+
+def _swap(old: bytes, new: bytes):
+    assert len(old) == len(new)  # keeps every length prefix valid
+    return lambda raw: raw.replace(old, new, 1)
+
+
+def _checkpoint_with_size_line(tmp_path, size_line: bytes):
+    path = _corrupt_checkpoint(tmp_path, _swap(b"size=8", size_line))
     return ["eval", "--model", str(path), "--data-dir", str(tmp_path), "--task", "1"]
 
 
@@ -145,6 +162,24 @@ def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, where):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert where in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: b"XXXX" + raw[4:],
+    lambda raw: raw[:4] + struct.pack("<H", 9) + raw[6:],
+    lambda raw: raw[:5],
+    _swap(b"size=8", b"sizz=8"),
+    _swap(b"vocab=a b c d e f", b"vocab=a b c d eff"),
+    _swap(b"embedding\x02" + struct.pack("<2I", 10, 8),
+          b"embedding\x02" + struct.pack("<2I", 8, 10)),
+], ids=["magic", "version", "truncated", "config-field", "vocab-size", "array-shape"])
+def test_checkpoint_errors_name_the_file(tmp_path, capsys, monkeypatch, damage):
+    path = _corrupt_checkpoint(tmp_path, damage)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["ask", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 class TestAskCmd:
@@ -246,6 +281,15 @@ class TestReproduceCmd:
     def test_missing_data(self, tmp_path, capsys):
         assert main(["reproduce", "--data-dir", str(tmp_path), "--tasks", "4"]) == 2
         assert "qa4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--budget-multiplier", "nan"], ["--budget-multiplier", "inf"],
+        ["--budget-multiplier", "-1"], ["--budget-multiplier", "0"], ["--jobs", "0"],
+    ], ids=["nan", "inf", "negative", "zero", "no-jobs"])
+    def test_bad_budget_or_jobs_is_usage_error(self, data_dir, capsys, argv):
+        assert main(["reproduce", "--data-dir", str(data_dir), "--tasks", "1", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_smoke(self, data_dir, tmp_path, capsys):
         out = tmp_path / "report.tsv"

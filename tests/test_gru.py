@@ -103,9 +103,20 @@ def steps_tensor(x3):
     return Tensor(x3.reshape(b * n, d_in))
 
 
+def solo_runs(x3, h0, spec, lengths, reverse=False):
+    """run_sequence over each row's real steps alone, optionally reversed and
+    flipped back: (states [B][L_b, d], finals [B, d])."""
+    states, finals = [], []
+    for b, n in enumerate(lengths):
+        steps = x3[b, :n][::-1] if reverse else x3[b, :n]
+        s, f = run_sequence(Tensor(steps.copy()), Tensor(h0.data[b:b + 1]), spec)
+        states.append(s.data[::-1] if reverse else s.data)
+        finals.append(f.data[0])
+    return states, np.array(finals)
+
+
 class TestGruLayer:
-    # 3 rows of lengths 4, 2 and 3: step 4 is fully padded, steps 2 and 3
-    # are partly padded
+    # 3 rows of lengths 4, 2 and 3: a prefix mask, real steps then padding
     MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]], dtype=float)
 
     @pytest.mark.parametrize("pair", [False, True])
@@ -130,28 +141,19 @@ class TestGruLayer:
 
         assert grad_check(f, tensors) < 1e-4
 
-    def test_all_ones_mask_is_no_mask(self):
-        rng = np.random.default_rng(17)
-        p = random_params(2, 3, rng)
-        x, h0 = Tensor(rng.normal(size=(15, 2))), Tensor(rng.normal(size=(3, 3)))
-        with MacCounter() as c:
-            ones = gru_layer(x, h0, p, np.ones((3, 5)))
-        np.testing.assert_array_equal(ones.data, gru_layer(x, h0, p).data)
-        assert c.total == 3 * 5 * 3 * (2 * 3 + 3 * 3 + 3)
-
     def test_macs_match_closed_form(self):
+        # every step of every row is computed: no blend, no skipped step
         rng = np.random.default_rng(14)
         p = random_params(2, 3, rng)
         with MacCounter() as c:
-            gru_layer(Tensor(rng.normal(size=(15, 2))), Tensor(np.zeros((3, 3))), p, self.MASK)
-        active, partial = 4, 2
-        assert c.total == active * 3 * gru_step_macs(2, 3) + partial * 2 * 3 * 3
+            gru_layer(Tensor(rng.normal(size=(15, 2))), Tensor(np.zeros((3, 3))), p)
+        assert c.total == 3 * 5 * gru_step_macs(2, 3)
 
     def test_one_tape_node_per_layer(self):
         rng = np.random.default_rng(15)
         p = random_params(2, 3, rng)
         with Tape() as tape:
-            gru_layer(Tensor(rng.normal(size=(15, 2))), Tensor(np.zeros((3, 3))), p, self.MASK)
+            gru_layer(Tensor(rng.normal(size=(15, 2))), Tensor(np.zeros((3, 3))), p)
         assert len(tape.nodes) == 1
 
     def test_non_finite_weight_names_the_op(self):
@@ -159,7 +161,61 @@ class TestGruLayer:
         p = random_params(2, 3, rng)
         p.u_z.data[0, 0] = np.inf
         with pytest.raises(NumericError, match="gru_layer"):
-            gru_layer(Tensor(rng.normal(size=(15, 2))), Tensor(np.ones((3, 3))), p, self.MASK)
+            gru_layer(Tensor(rng.normal(size=(15, 2))), Tensor(np.ones((3, 3))), p)
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_padded_inputs_do_not_reach_real_states(self, pair):
+        rng = np.random.default_rng(23)
+        fwd = StackSpec([GruParams.create(2, 3, rng), GruParams.create(3, 3, rng)])
+        bwd = StackSpec([GruParams.create(2, 3, rng), GruParams.create(3, 3, rng)])
+        x = rng.normal(size=(15, 2)).astype(np.float32)
+        h0 = Tensor(rng.normal(size=(3, 3)).astype(np.float32))
+        padded = self.MASK.reshape(-1) == 0
+        noisy = x.copy()
+        noisy[padded] = rng.normal(size=(int(padded.sum()), 2)) * 100
+
+        def run(inputs):
+            if pair:
+                return run_bidirectional(Tensor(inputs), h0, h0, fwd, bwd, self.MASK)
+            return run_sequence(Tensor(inputs), h0, fwd, self.MASK)
+
+        (s1, f1), (s2, f2) = run(x), run(noisy)
+        np.testing.assert_array_equal(s1.data[~padded], s2.data[~padded])
+        np.testing.assert_array_equal(f1.data, f2.data)
+
+    def test_float32_outputs_pinned(self):
+        # float32 states at the real positions of a ragged batch, pinned bit
+        # for bit to the values of the earlier masked-blend layer
+        rng = np.random.default_rng(22)
+        spec = StackSpec([GruParams.create(2, 2, rng)])
+        x = Tensor(rng.normal(size=(15, 2)).astype(np.float32))
+        states, final = run_sequence(x, Tensor(np.zeros((3, 2), np.float32)), spec, self.MASK)
+        want = np.array([
+            [0.12154816091060638, 0.155314639210701],
+            [-0.2259417176246643, 0.10549711436033249],
+            [0.0916820839047432, 0.26067468523979187],
+            [-0.31053680181503296, 0.28849196434020996],
+            [0.36433422565460205, -0.4464985430240631],
+            [0.14288197457790375, -0.0846068263053894],
+            [-0.12323368340730667, -0.2883172631263733],
+            [-0.12910285592079163, -0.46196410059928894],
+            [-0.3169562816619873, -0.3646438717842102],
+        ], dtype=np.float32)
+        assert states.dtype == np.float32
+        np.testing.assert_array_equal(states.data[self.MASK.reshape(-1) == 1], want)
+        np.testing.assert_array_equal(final.data, want[[3, 5, 8]])
+
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("mask", [[[1, 0, 1]], [[1, 1, 0.5]]], ids=["hole", "fraction"])
+    def test_non_prefix_mask_rejected(self, pair, mask):
+        rng = np.random.default_rng(24)
+        spec = StackSpec([random_params(2, 3, rng)])
+        x, h0 = Tensor(rng.normal(size=(3, 2))), Tensor(np.zeros((1, 3)))
+        with pytest.raises(ContractError, match="prefix"):
+            if pair:
+                run_bidirectional(x, h0, h0, spec, spec, mask)
+            else:
+                run_sequence(x, h0, spec, mask)
 
 
 class TestRunSequence:
@@ -179,15 +235,13 @@ class TestRunSequence:
         with pytest.raises(ContractError):
             run_sequence(Tensor(np.zeros((0, 2))), Tensor(np.zeros((1, 2))), spec)
 
-    def test_padding_copies_state_forward(self):
+    def test_final_is_state_at_last_real_step(self):
         rng = np.random.default_rng(4)
-        p = random_params(3, 3, rng)
-        spec = StackSpec([p])
-        x = Tensor(rng.normal(size=(3, 3)))
-        h0 = Tensor(np.zeros((1, 3)))
-        states, final = run_sequence(x, h0, spec, mask=[1, 1, 0])
-        np.testing.assert_array_equal(final.data[0], states.data[1])
-        np.testing.assert_array_equal(states.data[2], states.data[1])
+        spec = StackSpec([random_params(3, 3, rng), random_params(3, 3, rng)])
+        x = Tensor(rng.normal(size=(12, 3)))
+        h0 = Tensor(np.zeros((3, 3)))
+        states, final = run_sequence(x, h0, spec, mask=[[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 0, 0]])
+        np.testing.assert_array_equal(final.data, states.data[[1, 7, 8]])
 
     def test_equals_explicit_fold(self):
         rng = np.random.default_rng(5)
@@ -254,13 +308,14 @@ class TestPairLayer:
         x3 = rng.normal(size=(3, 5, 2))
         h0f, h0b = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))
         states, final = run_bidirectional(steps_tensor(x3), h0f, h0b, fwd, bwd, self.MASK)
-        f_states, f_final = run_sequence(steps_tensor(x3), h0f, fwd, self.MASK)
-        # reversing the steps puts each row's padding first, which carries h0
-        b_states, b_final = run_sequence(steps_tensor(x3[:, ::-1]), h0b, bwd,
-                                         self.MASK[:, ::-1])
-        b_states = b_states.data.reshape(3, 5, 3)[:, ::-1].reshape(15, 3)
-        np.testing.assert_allclose(states.data, f_states.data + b_states, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(final.data, f_final.data + b_final.data, rtol=0, atol=1e-12)
+        # each row alone over its real steps, forward and reversed
+        lengths = self.MASK.sum(axis=1).astype(int)
+        f_states, f_final = solo_runs(x3, h0f, fwd, lengths)
+        b_states, b_final = solo_runs(x3, h0b, bwd, lengths, reverse=True)
+        want = np.concatenate([f + b for f, b in zip(f_states, b_states)])
+        real = self.MASK.reshape(-1) == 1
+        np.testing.assert_allclose(states.data[real], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final.data, f_final + b_final, rtol=0, atol=1e-12)
 
     def test_gradients_masked_depth1(self):
         rng = np.random.default_rng(19)
@@ -280,12 +335,14 @@ class TestPairLayer:
     def test_one_tape_node_and_macs_per_direction(self):
         rng = np.random.default_rng(20)
         fwd, bwd = self.specs(1, rng)
-        x, h0 = Tensor(rng.normal(size=(15, 2))), Tensor(np.zeros((3, 6)))
+        x = rng.normal(size=(15, 2))
         with Tape() as tape, MacCounter() as c:
-            out = gru_layer(x, h0, fwd.layers[0], self.MASK, bwd.layers[0])
+            # each cell reads its own input columns
+            out = gru_layer(Tensor(np.hstack([x, x[::-1]])), Tensor(np.zeros((3, 6))),
+                            fwd.layers[0], bwd.layers[0])
         assert len(tape.nodes) == 1 and out.shape == (15, 6)
         with MacCounter() as one:
-            gru_layer(x, Tensor(np.zeros((3, 3))), fwd.layers[0], self.MASK)
+            gru_layer(Tensor(x), Tensor(np.zeros((3, 3))), fwd.layers[0])
         assert c.total == 2 * one.total
 
     @pytest.mark.parametrize("depth", [1, 2])

@@ -79,6 +79,19 @@ class TestClip:
             for b, a in zip(before, gs):
                 assert (np.abs(a) <= np.abs(b) + 1e-12).all()
 
+    @pytest.mark.parametrize("max_norm", [0.0, np.nan, np.inf])
+    def test_max_norm_must_be_positive_and_finite(self, max_norm):
+        with pytest.raises(ConfigError):
+            clip_gradients([np.array([6.0, 8.0])], max_norm)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["lr", "max_grad_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_lr_and_clip_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(**{field: value})
+
 
 def anneal(lr, history):
     """Replay the default annealing rule over (train_loss, val_error) evaluations."""
