@@ -170,19 +170,28 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ask(args) -> int:
+    """Answer '? question' lines over the statements told since the last 'reset'.
+    Each distinct statement's word-level vector is kept, so a question reads
+    only the statements new since the one before (`encode_document`)."""
+    import numpy as np
+
     from amnet.data import EncodedExample
 
     ckpt = _load_with_vocab(args.model)
     vocab = ckpt.vocab
     statements: list[list[str]] = []
     story: list[list[int]] = []  # each statement's ids, encoded once on arrival
+    rows: list[int] = []  # per statement, its row among the story's distinct ones
+    distinct: dict[tuple, int] = {}
+    unread: list[list[int]] = []  # distinct statements told since the last question
+    kept: list = []  # word-level vectors of the rows read so far
     print("statements accumulate; '? <question>' asks, 'reset' clears, EOF exits")
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
         if line == "reset":
-            statements, story = [], []
+            statements, story, rows, distinct, unread, kept = [], [], [], {}, [], []
             print("(story cleared)")
             continue
         if line.startswith("?"):
@@ -193,13 +202,14 @@ def cmd_ask(args) -> int:
             if not question:
                 print("(empty question)")
                 continue
-            ex = EncodedExample(
-                story=story,
-                line_numbers=list(range(1, len(statements) + 1)),
-                question=vocab.encode(question),
-                answer=[0], supporting=[])
-            predictions, records = predict_batch(make_batch([ex]), ckpt.params,
-                                                 ckpt.config, want_records=True)
+            ids = vocab.encode(question)
+            # the batch of the unread statements, re-pointed at the whole story
+            batch = make_batch([EncodedExample(unread, [], ids, [0], [])])
+            batch.sentence_rows, batch.sentence_mask = np.array([rows]), np.ones((1, len(rows)))
+            batch.examples = [EncodedExample(story, [], ids, [0], [])]
+            predictions, records = predict_batch(batch, ckpt.params, ckpt.config,
+                                                 want_records=True, kept=kept)
+            unread = []
             answer = " ".join(vocab.decode(predictions[0])) or "(no answer)"
             focus = int(records[0].memory_attention[-1].argmax())
             print(f"answer: {answer}")
@@ -211,6 +221,11 @@ def cmd_ask(args) -> int:
             continue
         statements.append(statement)
         story.append(vocab.encode(statement))
+        key = tuple(story[-1])
+        if key not in distinct:
+            distinct[key] = len(distinct)
+            unread.append(story[-1])
+        rows.append(distinct[key])
     return EXIT_OK
 
 

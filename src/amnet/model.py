@@ -255,13 +255,19 @@ def encode_question(question_ids, question_mask, params: ModelParams,
 
 
 def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: Tensor,
-                    params: ModelParams, config: ModelConfig):
+                    params: ModelParams, config: ModelConfig, kept: list | None = None):
     """Word-level then sentence-level encoding.
 
     ``sentences`` [U, Lw] holds word ids, ``word_mask`` None or [U, Lw],
     and ``sentence_rows`` [B, S] the row of ``sentences`` read at each
     story slot: the word level runs once per row, however many slots
     share it (a raw [S, Lw] story passes ``np.arange(S)``).
+
+    ``kept``, for a story that grows between calls (`amn ask`), is a list
+    of [k, e] arrays: the word-level vectors of the table rows read by
+    earlier calls. ``sentences`` then holds only the rows after them, read
+    together and appended to ``kept``; ``sentence_rows`` index the whole table.
+
     Returns (h_sen [B*S, e], h_sen_final [B, e], S): the sentence-level
     states to attend over (row b*S+s is sentence s of example b) and the
     fused final state. Both directions of the sentence-level encoder are
@@ -279,9 +285,14 @@ def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: T
     else:
         sm = None
 
-    # word level over the distinct rows, then one gather to the [B*S] slots
+    # word level over the rows not read yet, then one gather to the [B*S] slots
     wm = None if word_mask is None else np.asarray(word_mask, dtype=np.float64)
-    h_wrd = take_rows(_read_words(ids, wm, params, config), rows.reshape(-1))
+    table = None if kept and len(ids) == 0 else _read_words(ids, wm, params, config)
+    if kept is not None:
+        if table is not None:
+            kept.append(table.data)
+        table = constant(np.concatenate(kept))
+    h_wrd = take_rows(table, rows.reshape(-1))
 
     # sentence-level bidirectional pass: row b*S+s of h_wrd is step s of story b
     h_sen, h_sen_final = run_bidirectional(
@@ -319,6 +330,28 @@ def _decoder_logits(state: Tensor, params: ModelParams) -> Tensor:
     return add(matmul(state, params.out_w), params.out_b)
 
 
+def _decode(memories, params: ModelParams, steps: int, next_ids):
+    """The decoder's step loop. Step 1 consumes the GO embedding; after step
+    t, ``next_ids(t, logits)`` gives the ids step t+1 consumes, or None to
+    stop. Returns (logits per step, attention weights per step)."""
+    m_states = interleave_rows(memories)
+    hs = _stack_init(memories[-1], params.decoder_cell.depth)
+    prev = np.full(memories[0].shape[0], GO, dtype=np.int64)
+    logits_per_step: list[Tensor] = []
+    weights: list[Tensor] = []
+    for t in range(steps):
+        x = take_rows(params.embedding, prev)
+        out, hs, a, _ = attentive_cell_step(
+            x, hs, m_states, params.decoder_cell, params.decoder_attention,
+            None, len(memories))
+        logits_per_step.append(_decoder_logits(out, params))
+        weights.append(a)
+        prev = next_ids(t, logits_per_step[-1])
+        if prev is None:
+            break
+    return logits_per_step, weights
+
+
 def decode_teacher_forced(memories, targets, params: ModelParams):
     """Gold tokens drive the decoder; one logit row per target position.
 
@@ -328,23 +361,9 @@ def decode_teacher_forced(memories, targets, params: ModelParams):
     if targets is None:
         raise ContractError("teacher-forced decoding needs gold targets")
     tgt = np.atleast_2d(np.asarray(targets, dtype=np.int64))
-    b, t_steps = tgt.shape
-    if t_steps == 0:
+    if tgt.shape[1] == 0:
         raise ContractError("teacher-forced decoding needs at least one target position")
-    m_states = interleave_rows(memories)
-    hs = _stack_init(memories[-1], params.decoder_cell.depth)
-    prev = np.full(b, GO, dtype=np.int64)
-    logits_per_step: list[Tensor] = []
-    weights: list[Tensor] = []
-    for t in range(t_steps):
-        x = take_rows(params.embedding, prev)
-        out, hs, a, _ = attentive_cell_step(
-            x, hs, m_states, params.decoder_cell, params.decoder_attention,
-            None, len(memories))
-        logits_per_step.append(_decoder_logits(out, params))
-        weights.append(a)
-        prev = tgt[:, t]
-    return logits_per_step, weights
+    return _decode(memories, params, tgt.shape[1], lambda t, _: tgt[:, t])
 
 
 def decode_greedy(memories, params: ModelParams, config: ModelConfig,
@@ -354,35 +373,24 @@ def decode_greedy(memories, params: ModelParams, config: ModelConfig,
     Returns (tokens [B, steps], attention weights per step).
     """
     cap = (config.max_answer_len if max_answer_len is None else max_answer_len) + 1
-    m_states = interleave_rows(memories)
-    b = memories[0].shape[0]
-    hs = _stack_init(memories[-1], params.decoder_cell.depth)
-    prev = np.full(b, GO, dtype=np.int64)
-    done = np.zeros(b, dtype=bool)
+    done = np.zeros(memories[0].shape[0], dtype=bool)
     steps: list[np.ndarray] = []
-    weights: list[Tensor] = []
-    for _ in range(cap):
-        x = take_rows(params.embedding, prev)
-        out, hs, a, _ = attentive_cell_step(
-            x, hs, m_states, params.decoder_cell, params.decoder_attention,
-            None, len(memories))
-        ids = _decoder_logits(out, params).data.argmax(axis=1).astype(np.int64)
-        steps.append(ids)
-        weights.append(a)
-        done |= ids == EOS
-        if done.all():
-            break
-        prev = ids
+
+    def argmax(_, logits):
+        steps.append(logits.data.argmax(axis=1).astype(np.int64))
+        done[:] |= steps[-1] == EOS
+        return None if done.all() else steps[-1]
+
+    _, weights = _decode(memories, params, cap, argmax)
     return np.stack(steps, axis=1), weights
 
 
 def cut_at_eos(token_rows: np.ndarray) -> list[list[int]]:
     """Per row: the emitted ids before the first EOS (all of them if none)."""
-    out = []
-    for row in token_rows:
-        hits = np.flatnonzero(row == EOS)
-        out.append(row[:hits[0]].tolist() if hits.size else row.tolist())
-    return out
+    rows = np.asarray(token_rows)
+    hit = rows == EOS
+    ends = np.where(hit.any(axis=1), hit.argmax(axis=1), rows.shape[1])
+    return [row[:end] for row, end in zip(rows.tolist(), ends.tolist())]
 
 
 @dataclass
@@ -443,15 +451,17 @@ def forward_example(example, params: ModelParams, config: ModelConfig):
 
 
 def predict_batch(batch, params: ModelParams, config: ModelConfig,
-                  want_records: bool = False):
+                  want_records: bool = False, kept: list | None = None):
     """Inference only: free-running predictions, no loss.
 
+    ``kept`` goes to `encode_document`, with a batch of the rows not yet
+    read whose ``sentence_rows`` index the whole table.
     Returns (predictions, records) where records is None unless asked for.
     """
     h_que = encode_question(batch.question, batch.question_mask, params, config)
     h_sen, h_sen_final, _ = encode_document(
         batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
-        h_que, params, config)
+        h_que, params, config, kept)
     memories, mem_weights, mem_contexts = memory_module(
         h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
     tokens, fr_weights = decode_greedy(memories, params, config)

@@ -1,14 +1,22 @@
 import io
+import itertools
+import random
 import struct
 import sys
 
 import numpy as np
 import pytest
 
+import amnet.cli
+import amnet.model
 from amnet.cli import main
-from amnet.data import Vocabulary
-from amnet.model import ModelConfig, init_params, save_checkpoint
+from amnet.data import EncodedExample, Vocabulary, detokenize, make_batch, tokenize
+from amnet.model import (
+    ModelConfig, encode_question, init_params, load_checkpoint, predict_batch,
+    save_checkpoint,
+)
 from amnet.synthetic import write_task_files
+from amnet.tensor import MacCounter
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +223,157 @@ class TestAskCmd:
         out = capsys.readouterr().out
         assert "(empty statement)" in out
         assert "no statements" in out
+
+
+def _ask_session(seed: int = 0) -> list[str]:
+    """A 66-statement story, `reset`, then 12 more statements, asking after
+    1, 2 and 3 new statements in turn. Statements repeat (20 distinct ones)
+    and some words are outside the task-1 vocabulary."""
+    rng = random.Random(seed)
+    pool = rng.sample([f"{who} {verb} to the {where}"
+                       for who in ("mary", "john", "sandra", "zorblax")
+                       for verb in ("moved", "went", "teleported")
+                       for where in ("kitchen", "garden", "office", "moonbase")], 20)
+    lines = []
+    for length in (66, 12):
+        told, gaps = 0, itertools.cycle((1, 2, 3))
+        while told < length:
+            k = min(next(gaps), length - told)
+            lines += [rng.choice(pool) for _ in range(k)]
+            lines.append(f"? where is {rng.choice(('mary', 'john', 'zorblax'))}")
+            told += k
+        lines.append("reset")
+    return lines
+
+
+def _ask_questions(lines):
+    """Per question: (the story so far, the statements new to it since the
+    previous question, each listed once and only if not told before)."""
+    story, seen, new, out = [], set(), [], []
+    for line in lines:
+        if line == "reset":
+            story, seen, new = [], set(), []
+        elif line.startswith("?"):
+            out.append((list(story), line, new))
+            new = []
+        else:
+            story.append(line)
+            if line not in seen:
+                seen.add(line)
+                new.append(line)
+    return out
+
+
+def _whole_story(ckpt, story, question):
+    """`predict_batch` with records over the whole story, as one example."""
+    vocab = ckpt.vocab
+    ex = EncodedExample([vocab.encode(tokenize(s)) for s in story],
+                        list(range(1, len(story) + 1)), vocab.encode(tokenize(question[1:])),
+                        [0], [])
+    predictions, records = predict_batch(make_batch([ex]), ckpt.params, ckpt.config,
+                                         want_records=True)
+    return predictions[0], records[0]
+
+
+def _predicted_lines(ckpt, story, question):
+    """The `answer:` and `focus:` lines of `predict_batch` over the whole story."""
+    prediction, record = _whole_story(ckpt, story, question)
+    focus = int(record.memory_attention[-1].argmax())
+    return [f"answer: {' '.join(ckpt.vocab.decode(prediction)) or '(no answer)'}",
+            f"focus:  [{focus + 1}] {detokenize(tokenize(story[focus]))}"]
+
+
+class TestAskSession:
+    """`amn ask` over a growing story answers as `predict_batch` does over the
+    whole story, and reads each distinct statement's words once per story."""
+
+    def test_answers_equal_predict_batch_on_whole_story(self, trained, monkeypatch, capsys):
+        lines = _ask_session()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["ask", "--model", str(trained)]) == 0
+        printed = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith(("answer:", "focus:"))]
+        ckpt = load_checkpoint(trained)
+        want = [l for story, q, _ in _ask_questions(lines)
+                for l in _predicted_lines(ckpt, story, q)]
+        assert len(want) == 2 * 39
+        assert printed == want
+
+    def test_word_level_reads_only_new_statements(self, trained, monkeypatch):
+        macs = []  # per question: word-level MACs inside encode_document
+        inside = []
+
+        def document(*args, **kwargs):
+            inside.append(True)
+            try:
+                return encode_document(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def sequence(*args, **kwargs):
+            with MacCounter() as counter:
+                result = run_sequence(*args, **kwargs)
+            if inside:
+                macs[-1] += counter.total
+            return result
+
+        def predict(*args, **kwargs):
+            macs.append(0)
+            return predict_batch(*args, **kwargs)
+
+        encode_document, run_sequence = amnet.model.encode_document, amnet.model.run_sequence
+        monkeypatch.setattr(amnet.model, "encode_document", document)
+        monkeypatch.setattr(amnet.model, "run_sequence", sequence)
+        monkeypatch.setattr(amnet.cli, "predict_batch", predict)
+        lines = _ask_session()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["ask", "--model", str(trained)]) == 0
+        monkeypatch.undo()
+
+        ckpt = load_checkpoint(trained)
+        want = []
+        for _, _, new in _ask_questions(lines):
+            if not new:
+                want.append(0)
+                continue
+            ids = [ckpt.vocab.encode(tokenize(s)) for s in new]
+            width = max(map(len, ids))
+            padded = np.array([s + [0] * (width - len(s)) for s in ids])
+            with MacCounter() as counter:
+                encode_question(padded, padded > 0, ckpt.params, ckpt.config)
+            want.append(counter.total)
+        assert macs == want
+        assert want.count(0) > 5  # questions after repeats only
+        after_reset = len(_ask_questions(lines[:lines.index("reset") + 1]))
+        assert want[after_reset] > 0  # a story told again is read again
+
+    def test_width_64_answers_match_whole_story(self, trained, tmp_path, monkeypatch,
+                                                capsys):
+        vocab = load_checkpoint(trained).vocab
+        config = ModelConfig(size=64, memories=3, vocab_size=len(vocab),
+                             max_sentence_len=8, max_answer_len=1)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(init_params(config, seed=0), config, path, vocab)
+        attention = []
+
+        def predict(*args, **kwargs):
+            predictions, records = predict_batch(*args, **kwargs)
+            attention.append(records[0].memory_attention)
+            return predictions, records
+
+        monkeypatch.setattr(amnet.cli, "predict_batch", predict)
+        lines = _ask_session(seed=1)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["ask", "--model", str(path)]) == 0
+        monkeypatch.undo()
+        ckpt = load_checkpoint(path)
+        worst = 0.0
+        for got, (story, q, _) in zip(attention, _ask_questions(lines), strict=True):
+            _, record = _whole_story(ckpt, story, q)
+            worst = max(worst, float(np.abs(got - record.memory_attention).max()))
+        print(f"width 64: largest memory-attention difference, kept rows vs whole "
+              f"story: {worst:.3g}")
+        assert worst <= 1e-5
 
 
 class TestVisualizeCmd:

@@ -349,8 +349,14 @@ class TestDecoder:
         np.testing.assert_allclose(logits[0].data, want, atol=1e-12)
 
     def test_cut_at_eos(self):
-        rows = np.array([[5, EOS, 7], [4, 5, 6], [EOS, 0, 0]])
-        assert cut_at_eos(rows) == [[5], [4, 5, 6], []]
+        rows = np.array([[5, EOS, 7], [4, 5, 6], [EOS, 0, 0], [6, EOS, EOS]])
+        assert cut_at_eos(rows) == [[5], [4, 5, 6], [], [6]]
+        assert cut_at_eos(np.array([[EOS], [4]])) == [[], [4]]  # a single column
+
+    def test_cut_at_eos_equals_per_row_search(self):
+        rows = np.random.default_rng(0).integers(0, 6, size=(200, 4))
+        want = [list(r[:list(r).index(EOS)]) if EOS in r else list(r) for r in rows]
+        assert cut_at_eos(rows) == want
 
 
 class TestForward:
