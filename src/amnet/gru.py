@@ -10,6 +10,10 @@ Padding: a mask marks each row's real steps, which precede its padding.
 `gru_layer` computes every step. The runners take each row's final at its
 last real step, and feed the reversed direction its real steps last to
 first, then its padding; states at padded steps are not meaningful.
+
+Arithmetic: a gate is sig(a) = (1 + tanh(a/2))/2 and the update is
+h + z*(h~ - h), in place. So z near 0 has absolute, not relative, float32
+precision (about 3e-8), which is all the update needs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from amnet.tensor import (
-    ContractError, ShapeError, Tensor, _count_macs, _emit, _finite, _sigmoid, concat_cols,
+    ContractError, ShapeError, Tensor, _count_macs, _emit, _finite, concat_cols,
     constant, take_rows,
 )
 
@@ -124,8 +128,9 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
     ``rev`` runs in the same loop on its own input columns and states
     (``x`` [B*n, 2*d_in], ``h0`` [B, 2d], out [B*n, 2d]). Per step:
     z = sig(xW_z + hU_z + b_z); r = sig(xW_r + hU_r + b_r);
-    h~ = tanh(xW_h + (r*h)U_h + b_h); h = (1-z)*h + z*h~. One matmul
-    projects the inputs of all steps; the backward is BPTT over the gates.
+    h~ = tanh(xW_h + (r*h)U_h + b_h); h = h + z*(h~ - h), where sig(a) =
+    (1 + tanh(a/2))/2 (z near 0 is exact to about 3e-8 absolute in float32).
+    One matmul projects the inputs of all steps; the backward is BPTT.
     """
     cells = (p,) if rev is None else (p, rev)
     k, d_in, d = len(cells), p.d_in, p.d
@@ -147,29 +152,34 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
     # analysis.gru_step_macs per step, row and cell; zero blocks are not counted
     _count_macs(k * batch * n * 3 * (d_in * d + d * d + d))
     # step-major [n, B, .] working arrays, so each step is one contiguous
-    # block; the loop adds the recurrent terms to the pre-activations in place
+    # block; the loop adds the recurrent terms to the pre-activations in
+    # place. Gate columns and U_z|U_r are halved (exactly) for sig's tanh form
     pre = xp.reshape(batch, n, 3 * dd).transpose(1, 0, 2).astype(dtype, order="C")
+    pre[:, :, :2 * dd] *= 0.5
+    half_u_zr = u_zr * 0.5
     zr = np.empty((n, batch, 2 * dd), dtype)   # gates z | r
-    omz = np.empty((n, batch, dd), dtype)      # 1 - z
     cand = np.empty((n, batch, dd), dtype)     # h~
     rh = np.empty((n, batch, dd), dtype)       # r * h, the input of U_h
     hs = np.empty((n, batch, dd), dtype)       # state after each step
-    h, hu = h0.data, np.empty((batch, 2 * dd), dtype)
-    for t in range(n):
-        a_zr, a_h, zr_t = pre[t, :, :2 * dd], pre[t, :, 2 * dd:], zr[t]
-        a_zr += np.matmul(h, u_zr, out=hu)
-        _sigmoid(a_zr, out=zr_t)
-        z = zr_t[:, :dd]
-        np.multiply(zr_t[:, dd:], h, out=rh[t])
-        a_h += rh[t] @ u_h
-        hs[t] = h = np.subtract(1.0, z, out=omz[t]) * h + z * np.tanh(a_h, out=cand[t])
-    # pre holds every gate and candidate pre-activation (the sigmoid and
-    # tanh map finite to finite); _emit checks the states
+    hu, hh = np.empty((batch, 2 * dd), dtype), np.empty((batch, dd), dtype)
+    for a_zr, a_h, zr_t, z, r, rh_t, c, h, h_t in zip(pre[:, :, :2 * dd], pre[:, :, 2 * dd:],
+            zr, zr[:, :, :dd], zr[:, :, dd:], rh, cand, [h0.data, *hs], hs):  # h: prev state
+        a_zr += np.matmul(h, half_u_zr, out=hu)
+        np.tanh(a_zr, out=zr_t)
+        zr_t += 1.0
+        zr_t *= 0.5
+        np.multiply(r, h, out=rh_t)
+        a_h += np.matmul(rh_t, u_h, out=hh)
+        np.subtract(np.tanh(a_h, out=c), h, out=h_t)
+        h_t *= z
+        h_t += h
+    # pre holds every pre-activation (tanh maps finite to finite); _emit checks the states
     _finite(pre, "gru_layer")
 
     def back(g):
         gs = g.reshape(batch, n, dd).transpose(1, 0, 2)
         prev = np.concatenate([h0.data.astype(dtype)[None], hs[:-1]])
+        omz = 1.0 - zr[:, :, :dd]
         da = np.empty((n, batch, 3 * dd), dtype)
         dh = np.zeros((batch, dd), dtype)
         for t in range(n - 1, -1, -1):

@@ -255,15 +255,11 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(y, "tanh", (x,), back)
 
 
-def _sigmoid(d: np.ndarray, out=None) -> np.ndarray:
-    # split by sign so exp never overflows: 1/(1+e) for d >= 0, e/(1+e) below
-    # (e <= 1, so the numerator max(e, d >= 0) is exactly 1 or e)
-    e = np.exp(-np.abs(d))
-    return np.divide(np.maximum(e, d >= 0), 1.0 + e, out=out)
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
+    # (1 + tanh(a/2))/2, as gru_layer's gates: it saturates, never overflows
+    y = np.tanh(x.data * 0.5)
+    y += 1.0
+    y *= 0.5
 
     def back(g):
         return (g * y * (1.0 - y),)

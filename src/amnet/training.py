@@ -174,7 +174,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
 
     Stops at max_batches, when the lr anneals below lr / MIN_LR_DIVISOR, or
     when the optional target validation error is reached. Raises NumericError
-    with the batch index and lr if the loss or the gradient goes non-finite.
+    with the batch index and lr if an op, the loss or the gradient goes non-finite.
     """
     if not data.train or not data.val:
         raise DataError("training needs non-empty train and validation splits")
@@ -198,20 +198,22 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
     epoch = 0
     while not stop:
         for batch in batchify(data.train, cfg.batch_size, seed=cfg.seed * 1_000_003 + epoch):
-            with Tape() as tape:
-                result = forward_batch(batch, params, model_config, training=True)
-            loss_value = float(result.loss.data)
-            if not np.isfinite(loss_value):
-                raise NumericError(
-                    f"loss became non-finite at batch {batches + 1} (lr={lr})")
-            tape.backward(result.loss)
-            grads = []
-            for t in tensors:
-                grads.append(t.grad if t.grad is not None else np.zeros_like(t.data))
-                t.grad = None
-            if not np.isfinite(clip_gradients(grads, cfg.max_grad_norm)):
-                raise NumericError(f"non-finite gradient at batch {batches + 1} (lr={lr})")
-            adam_step(tensors, grads, adam, lr)
+            try:
+                with Tape() as tape:
+                    result = forward_batch(batch, params, model_config, training=True)
+                loss_value = float(result.loss.data)
+                if not np.isfinite(loss_value):
+                    raise NumericError("loss became non-finite")
+                tape.backward(result.loss)
+                grads = []
+                for t in tensors:
+                    grads.append(t.grad if t.grad is not None else np.zeros_like(t.data))
+                    t.grad = None
+                if not np.isfinite(clip_gradients(grads, cfg.max_grad_norm)):
+                    raise NumericError("non-finite gradient")
+                adam_step(tensors, grads, adam, lr)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at batch {batches + 1} (lr={lr})") from exc
             batches += 1
             window.append(loss_value)
 

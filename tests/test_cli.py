@@ -55,6 +55,24 @@ class TestTrainCmd:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
 
+    def test_non_finite_op_names_batch_and_lr(self, capsys, data_dir, tmp_path, monkeypatch):
+        import amnet.training
+        real_forward, calls = amnet.training.forward_batch, []
+
+        def poisoned(batch, params, config, **kw):
+            calls.append(batch)
+            if len(calls) == 3:  # an inf weight reaches the sentence level's gates
+                params.sentence_fwd.layers[0].u_z.data[0, 0] = np.inf
+            return real_forward(batch, params, config, **kw)
+
+        monkeypatch.setattr(amnet.training, "forward_batch", poisoned)
+        with pytest.warns(UserWarning):  # non-standard split size
+            code = main(["train", "--data-dir", str(data_dir), "--task", "1", "--lr", "0.02",
+                         "--max-batches", "5", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 3 and len(calls) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: gru_layer produced non-finite values at batch 3 (lr=0.02)\n")
+
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path), "--task", "1",
                      "--max-batches", "1"])

@@ -185,25 +185,75 @@ class TestGruLayer:
 
     def test_float32_outputs_pinned(self):
         # float32 states at the real positions of a ragged batch, pinned bit
-        # for bit to the values of the earlier masked-blend layer
+        # for bit to the layer whose gates are (1 + tanh(a/2))/2 and whose
+        # update is h + z*(h~ - h)
         rng = np.random.default_rng(22)
         spec = StackSpec([GruParams.create(2, 2, rng)])
         x = Tensor(rng.normal(size=(15, 2)).astype(np.float32))
         states, final = run_sequence(x, Tensor(np.zeros((3, 2), np.float32)), spec, self.MASK)
         want = np.array([
-            [0.12154816091060638, 0.155314639210701],
-            [-0.2259417176246643, 0.10549711436033249],
-            [0.0916820839047432, 0.26067468523979187],
+            [0.12154816091060638, 0.1553146243095398],
+            [-0.2259417027235031, 0.1054970994591713],
+            [0.09168209135532379, 0.2606746554374695],
             [-0.31053680181503296, 0.28849196434020996],
-            [0.36433422565460205, -0.4464985430240631],
-            [0.14288197457790375, -0.0846068263053894],
-            [-0.12323368340730667, -0.2883172631263733],
-            [-0.12910285592079163, -0.46196410059928894],
+            [0.36433419585227966, -0.4464985430240631],
+            [0.14288195967674255, -0.08460679650306702],
+            [-0.12323369830846786, -0.2883172631263733],
+            [-0.12910287082195282, -0.46196413040161133],
             [-0.3169562816619873, -0.3646438717842102],
         ], dtype=np.float32)
         assert states.dtype == np.float32
         np.testing.assert_array_equal(states.data[self.MASK.reshape(-1) == 1], want)
         np.testing.assert_array_equal(final.data, want[[3, 5, 8]])
+
+    def test_ragged_batch_equals_scalar_fold(self):
+        rng = np.random.default_rng(26)
+        fwd, bwd = StackSpec([random_params(2, 3, rng)]), StackSpec([random_params(2, 3, rng)])
+        x3 = rng.normal(size=(3, 5, 2))
+        h0f, h0b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        lengths = self.MASK.sum(axis=1).astype(int)
+
+        def fold(spec, h, steps):
+            out = []
+            for x in steps:
+                h = scalar_loop_gru(x, h, spec.layers[0])
+                out.append(h)
+            return np.array(out)
+
+        f_want = [fold(fwd, h0f[b], x3[b, :n]) for b, n in enumerate(lengths)]
+        b_want = [fold(bwd, h0b[b], x3[b, :n][::-1])[::-1] for b, n in enumerate(lengths)]
+        real = self.MASK.reshape(-1) == 1
+        states, final = run_sequence(steps_tensor(x3), Tensor(h0f), fwd, self.MASK)
+        np.testing.assert_allclose(states.data[real], np.concatenate(f_want), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(final.data, [f[-1] for f in f_want], rtol=0, atol=1e-10)
+        states, final = run_bidirectional(steps_tensor(x3), Tensor(h0f), Tensor(h0b),
+                                          fwd, bwd, self.MASK)
+        np.testing.assert_allclose(states.data[real], np.concatenate(f_want) + np.concatenate(b_want),
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(final.data, [f[-1] + b[0] for f, b in zip(f_want, b_want)],
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1e4, 1e30])
+    def test_saturated_gates_keep_state_or_take_candidate(self, dtype, scale):
+        rng = np.random.default_rng(27)
+        p = GruParams.create(2, 3, rng, dtype=dtype)
+        x = (rng.normal(size=(3, 5, 2)) * scale).astype(dtype)
+        states = gru_layer(Tensor(x.reshape(15, 2)), Tensor(np.zeros((3, 3), dtype)), p).data
+        assert np.isfinite(states).all()
+        # every pre-activation is far past where float64 tanh reaches +-1, so
+        # z and r are exactly 0 or 1 and h~ exactly -1 or 1: from h0 = 0 each
+        # step keeps the state or takes the candidate, with no rounding
+        m = {name: t.data.astype(np.float64) for name, t in p.named()}
+        h = np.zeros((3, 3))
+        for t in range(5):
+            xt = x[:, t].astype(np.float64)
+            a_z = xt @ m["w_z"] + h @ m["u_z"] + m["b_z"]
+            a_r = xt @ m["w_r"] + h @ m["u_r"] + m["b_r"]
+            a_h = xt @ m["w_h"] + ((a_r > 0) * h) @ m["u_h"] + m["b_h"]
+            assert min(abs(a_z).min(), abs(a_r).min(), abs(a_h).min()) > 50
+            h = np.where(a_z > 0, np.sign(a_h), h)
+            np.testing.assert_array_equal(states.reshape(3, 5, 3)[:, t], h)
 
     @pytest.mark.parametrize("pair", [False, True])
     @pytest.mark.parametrize("mask", [[[1, 0, 1]], [[1, 1, 0.5]]], ids=["hole", "fraction"])
