@@ -19,8 +19,8 @@ d = 4
 
 print("-- one step, all parameters zero: gates sit at 1/2 --")
 zeros = lambda *s: Tensor(np.zeros(s))
-p0 = GruParams(zeros(d, d), zeros(d, d), zeros(d, d),
-               zeros(d, d), zeros(d, d), zeros(d, d), zeros(d), zeros(d), zeros(d))
+# W, U and b hold the gates z | r | h~ side by side, d columns each
+p0 = GruParams(zeros(d, 3 * d), zeros(d, 3 * d), zeros(3 * d))
 h = Tensor([[1.0, -2.0, 0.5, 4.0]])
 out = gru_step(Tensor(np.ones((1, d))), h, p0)
 print("h_prev:", h.data[0], "-> h:", out.data[0], "(exactly half)")

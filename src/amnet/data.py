@@ -238,6 +238,11 @@ class Batch:
         """[B, S, Lw] word mask per story slot."""
         return self.sentence_word_mask[self.sentence_rows]
 
+    @property
+    def max_id(self) -> int:
+        """The largest token id of the sentences, questions and answers."""
+        return int(max(a.max(initial=0) for a in (self.sentences, self.question, self.answer)))
+
 
 def make_batch(examples) -> Batch:
     """Pad a group of encoded examples to its own max dimensions."""

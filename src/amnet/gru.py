@@ -39,54 +39,40 @@ class ConfigError(ValueError):
 
 @dataclass
 class GruParams:
-    """One GRU cell: update gate z, reset gate r, candidate h."""
+    """One GRU cell, stored gate-major: each array holds the update gate z,
+    the reset gate r and the candidate h~ side by side, d columns each."""
 
-    w_z: Tensor  # [d_in, d]
-    w_r: Tensor
-    w_h: Tensor
-    u_z: Tensor  # [d, d]
-    u_r: Tensor
-    u_h: Tensor
-    b_z: Tensor  # [d]
-    b_r: Tensor
-    b_h: Tensor
+    w: Tensor  # [d_in, 3d] input weights, columns z | r | h~
+    u: Tensor  # [d, 3d] recurrent weights
+    b: Tensor  # [3d] biases
 
     def __post_init__(self):
-        want = self.shapes(*self.w_z.shape)
+        want = {"w": (self.d_in, 3 * self.d), "u": (self.d, 3 * self.d), "b": (3 * self.d,)}
         for name, t in self.named():
             if t.shape != want[name]:
                 raise ConfigError(f"gru parameter {name} has shape {t.shape}, expected {want[name]}")
 
     @property
     def d_in(self) -> int:
-        return self.w_z.shape[0]
+        return self.w.shape[0]
 
     @property
     def d(self) -> int:
-        return self.w_z.shape[1]
+        return self.u.shape[0]
 
     def named(self):
-        for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"):
+        for name in ("w", "u", "b"):
             yield name, getattr(self, name)
-
-    @staticmethod
-    def shapes(d_in: int, d: int) -> dict[str, tuple]:
-        return {"w_z": (d_in, d), "w_r": (d_in, d), "w_h": (d_in, d),
-                "u_z": (d, d), "u_r": (d, d), "u_h": (d, d),
-                "b_z": (d,), "b_r": (d,), "b_h": (d,)}
 
     @classmethod
     def create(cls, d_in: int, d: int, rng: np.random.Generator,
                dtype=np.float32) -> "GruParams":
-        def w(rows, cols):
-            return Tensor(rng.uniform(-0.5, 0.5, (rows, cols)).astype(dtype),
-                          requires_grad=True)
+        # W_z, W_r, W_h, U_z, U_r, U_h drawn in turn, each [rows, d]
+        def w(rows):
+            gates = [rng.uniform(-0.5, 0.5, (rows, d)) for _ in range(3)]
+            return Tensor(np.concatenate(gates, axis=1).astype(dtype), requires_grad=True)
 
-        def b():
-            return Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-
-        return cls(w(d_in, d), w(d_in, d), w(d_in, d),
-                   w(d, d), w(d, d), w(d, d), b(), b(), b())
+        return cls(w(d_in), w(d), Tensor(np.zeros(3 * d, dtype=dtype), requires_grad=True))
 
 
 @dataclass
@@ -126,7 +112,8 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
     [B, d]. Returns the state after every step, in the layout of ``x``;
     every step of every row is computed, in the order given. A second cell
     ``rev`` runs in the same loop on its own input columns and states
-    (``x`` [B*n, 2*d_in], ``h0`` [B, 2d], out [B*n, 2d]). Per step:
+    (``x`` [B*n, 2*d_in], ``h0`` [B, 2d], out [B*n, 2d]). Per step, W_z
+    being the z columns of ``p.w`` and so on:
     z = sig(xW_z + hU_z + b_z); r = sig(xW_r + hU_r + b_r);
     h~ = tanh(xW_h + (r*h)U_h + b_h); h = h + z*(h~ - h), where sig(a) =
     (1 + tanh(a/2))/2 (z near 0 is exact to about 3e-8 absolute in float32).
@@ -142,11 +129,13 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
     if rows == 0 or rows % batch:
         raise ContractError(f"{rows} input rows do not split into {batch} nonempty sequences")
     n = rows // batch
-    # gate-major columns z | r | h~, one d-wide block per cell; a pair's
-    # input and recurrent matrices are block diagonal
-    w, u = _blocks(cells, "w", k), _blocks(cells, "u", k)
+    # gate-major columns z | r | h~; a pair's are interleaved per gate, its
+    # input and recurrent matrices block diagonal
+    w, u, b = (p.w.data, p.u.data, p.b.data) if rev is None else (
+        _pair_blocks(p.w.data, rev.w.data, 2), _pair_blocks(p.u.data, rev.u.data, 2),
+        _pair_blocks(p.b.data, rev.b.data, 1))
     xp = x.data @ w
-    xp += _blocks(cells, "b", 1)
+    xp += b
     u_zr, u_h = u[:, :2 * dd], u[:, 2 * dd:]
     dtype = np.result_type(xp, h0.data, u_zr)
     # analysis.gru_step_macs per step, row and cell; zero blocks are not counted
@@ -192,34 +181,31 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
             np.multiply(drh, prev[t], out=da_zr[:, dd:])
             da_zr *= zr[t] * (1.0 - zr[t])
             dh = dh * omz[t] + drh * zr[t, :, dd:] + da_zr @ u_zr.T
-        # gradients of the assembled matrices, then each cell's blocks of them
+        # gradients of the W, U and b computed with; a pair's are each cell's blocks of them
         da_x = da.transpose(1, 0, 2).reshape(rows, 3 * dd)
         flat = da.reshape(n * batch, 3 * dd)
         du = np.concatenate([prev.reshape(-1, dd).T @ flat[:, :2 * dd],
                              rh.reshape(-1, dd).T @ flat[:, 2 * dd:]], axis=1)
-        parts = ((x.data.T @ da_x, k), (du, k), (da_x.sum(axis=0), 1))
-        grads = [a.reshape(g, -1, 3, k, d)[j % g, :, i, j] for j in range(k)
-                 for a, g in parts for i in range(3)]
-        return (da_x @ w.T, dh, *(ga.reshape(t.shape) for ga, t in zip(grads, params)))
+        grads = [x.data.T @ da_x, du, da_x.sum(axis=0)]
+        if rev is not None:
+            grads = [a.reshape(g, -1, 3, 2, d)[j % g, :, :, j].reshape(t.shape)
+                     for j in (0, 1) for a, g, t in zip(grads, (2, 2, 1), params[3 * j:])]
+        return (da_x @ w.T, dh, *grads)
 
     params = [t for c in cells for _, t in c.named()]
     states = hs.transpose(1, 0, 2).reshape(rows, dd)  # batch-major copy
     return _emit(states, "gru_layer", (x, h0, *params), back)
 
 
-def _blocks(cells, kind: str, groups: int) -> np.ndarray:
-    """The cells' ``kind``_z, _r, _h matrices (a bias is one row) as one
-    [groups*rows, 3*k*d] array with gate-major columns: gate i of cell j
-    sits in row group j % groups and column block i*k + j, zeros elsewhere."""
-    mats = [np.concatenate([getattr(c, kind + g).data for g in ("_z", "_r", "_h")], axis=-1)
-            for c in cells]
-    if len(cells) == groups == 1:
-        return mats[0]
-    k, d = len(cells), cells[0].d
-    out = np.zeros((groups, mats[0].size // (3 * d), 3, k, d), np.result_type(*mats))
-    for j, a in enumerate(mats):
-        out[j % groups, :, :, j] = a.reshape(-1, 3, d)
-    return out.reshape(-1, 3 * k * d)
+def _pair_blocks(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
+    """Two cells' gate-major arrays (a bias is one row) as one
+    [groups*rows, 6d] array: gate i of cell j in row group j % groups and
+    column block 2i + j, zeros elsewhere."""
+    d = a.shape[-1] // 3
+    out = np.zeros((groups, a.size // (3 * d), 3, 2, d), np.result_type(a, b))
+    for j, m in enumerate((a, b)):
+        out[j % groups, :, :, j] = m.reshape(-1, 3, d)
+    return out.reshape(-1, 6 * d)
 
 
 def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:

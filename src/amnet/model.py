@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from amnet.data import EOS, GO, DataError, Vocabulary, make_batch
-from amnet.gru import (
-    ConfigError, GruParams, StackSpec, gru_step, run_bidirectional, run_sequence,
-)
+from amnet.gru import ConfigError, StackSpec, gru_step, run_bidirectional, run_sequence
 from amnet.tensor import (
     ContractError, ShapeError, Tensor, add, concat_cols, constant,
     cross_entropy_rows, interleave_rows, matmul, mix_rows, mul, repeat_rows,
@@ -100,6 +98,10 @@ class AttentionParams:
         return cls(w(e, e, 0.5), w(e, e, 0.5), w(e, 1, 1.0), w(2 * e, e, 0.5))
 
 
+# the GRU cell stacks of ModelParams, in creation and file order
+_STACKS = ("encoder", "sentence_fwd", "sentence_bwd", "memory_cell", "decoder_cell")
+
+
 @dataclass
 class ModelParams:
     """Every learned array. ``encoder`` is shared by the question encoder
@@ -122,11 +124,8 @@ class ModelParams:
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = [("embedding", self.embedding)]
-        named += list(self.encoder.named("encoder"))
-        named += list(self.sentence_fwd.named("sentence_fwd"))
-        named += list(self.sentence_bwd.named("sentence_bwd"))
-        named += list(self.memory_cell.named("memory_cell"))
-        named += list(self.decoder_cell.named("decoder_cell"))
+        for stack in _STACKS:
+            named += getattr(self, stack).named(stack)
         named += list(self.memory_attention.named("memory_attention"))
         named += list(self.decoder_attention.named("decoder_attention"))
         named += [("out_w", self.out_w), ("out_b", self.out_b)]
@@ -152,11 +151,7 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelPa
 
     return ModelParams(
         embedding=w(v, e),
-        encoder=StackSpec.create(e, e, config.depth, rng, dtype),
-        sentence_fwd=StackSpec.create(e, e, config.depth, rng, dtype),
-        sentence_bwd=StackSpec.create(e, e, config.depth, rng, dtype),
-        memory_cell=StackSpec.create(e, e, config.depth, rng, dtype),
-        decoder_cell=StackSpec.create(e, e, config.depth, rng, dtype),
+        **{stack: StackSpec.create(e, e, config.depth, rng, dtype) for stack in _STACKS},
         memory_attention=AttentionParams.create(e, rng, dtype),
         decoder_attention=AttentionParams.create(e, rng, dtype),
         out_w=w(e, v),
@@ -407,11 +402,8 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
     ``training`` only turns on a check that every token id of the batch lies
     inside the vocabulary (DataError otherwise); the computation is the same.
     """
-    if training:
-        top = max(batch.sentences.max(initial=0), batch.question.max(initial=0),
-                  batch.answer.max(initial=0))
-        if top >= config.vocab_size:
-            raise DataError(f"token id {top} outside vocabulary of {config.vocab_size}")
+    if training and batch.max_id >= config.vocab_size:
+        raise DataError(f"token id {batch.max_id} outside vocabulary of {config.vocab_size}")
     h_que = encode_question(batch.question, batch.question_mask, params, config)
     h_sen, h_sen_final, _ = encode_document(
         batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
@@ -492,6 +484,7 @@ _MAGIC = b"AMN1"
 _VERSION = 1
 _CONFIG_FIELDS = ("size", "depth", "memories", "dropout", "vocab_size",
                   "max_sentence_len", "max_answer_len")
+_GATES = ("_z", "_r", "_h")
 
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path,
@@ -501,7 +494,7 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
     lines = [f"{name}={getattr(config, name)}" for name in _CONFIG_FIELDS]
     if vocab is not None:
         lines.append("vocab=" + " ".join(vocab.id_to_token[4:]))
-    named = params.named_parameters()
+    named = list(_file_arrays(params))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
@@ -511,24 +504,35 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
         fh.write(struct.pack("<I", len(named)))
-        for name, t in named:
+        for name, a in named:
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            arr = np.ascontiguousarray(t.data, dtype="<f4")
+            arr = np.ascontiguousarray(a, dtype="<f4")
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
 
 
+def _file_arrays(params: ModelParams):
+    """(name, array) of every array in the file, in file order. The file
+    keeps each GRU cell's w, u and b as three per-gate arrays (w_z, w_r,
+    w_h, ...), here views of their columns of ``params``."""
+    for name, t in params.named_parameters():
+        if name.split(".")[0] in _STACKS:
+            yield from zip((name + g for g in _GATES), np.split(t.data, 3, axis=-1))
+        else:
+            yield name, t.data
+
+
 def _param_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape of every array ``init_params(config)`` creates, without creating them."""
-    e, v, cell = config.size, config.vocab_size, GruParams.shapes(config.size, config.size)
+    """Name -> shape of every array in the file of a ``config`` model, without creating any."""
+    e, v = config.size, config.vocab_size
+    gate = {"w": (e, e), "u": (e, e), "b": (e,)}  # one gate's part of a cell's array
     att = {"w1": (e, e), "w2": (e, e), "v": (e, 1), "proj": (2 * e, e)}
-    stacks = ("encoder", "sentence_fwd", "sentence_bwd", "memory_cell", "decoder_cell")
     return {"embedding": (v, e),
-            **{f"{s}.{i}.{n}": c for s in stacks for i in range(config.depth)
-               for n, c in cell.items()},
+            **{f"{s}.{i}.{n}{g}": c for s in _STACKS for i in range(config.depth)
+               for n, c in gate.items() for g in _GATES},
             **{f"{a}.{n}": c for a in ("memory_attention", "decoder_attention")
                for n, c in att.items()},
             "out_w": (e, v), "out_b": (v,)}
@@ -559,8 +563,8 @@ def load_checkpoint(path) -> Checkpoint:
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     params = init_params(config, seed=0, dtype=np.float32)
-    for name, t in params.named_parameters():
-        t.data = arrays[name]
+    for name, a in _file_arrays(params):
+        a[...] = arrays[name]
     return Checkpoint(params, config, vocab)
 
 
@@ -615,7 +619,7 @@ def _read_checkpoint(fh):
         if dims != shapes[name]:
             raise CheckpointError(f"array {name} has shape {dims}, expected {shapes[name]}")
         payload = _read_exact(fh, 4 * math.prod(dims), f"array {name} payload")
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
         if not np.isfinite(arrays[name]).all():
             raise CheckpointError(f"array {name} holds non-finite values")
     return config, vocab, arrays

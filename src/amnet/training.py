@@ -143,11 +143,9 @@ def evaluate(params: ModelParams, config: ModelConfig, examples,
     for i in range(0, len(examples), batch_size):
         chunk = examples[i:i + batch_size]
         batch = make_batch(chunk)
-        top = max(batch.sentences.max(initial=0), batch.question.max(initial=0),
-                  batch.answer.max(initial=0))
-        if top >= config.vocab_size:
-            raise ContractError(
-                f"examples use token id {top}, outside the model vocabulary of {config.vocab_size}")
+        if batch.max_id >= config.vocab_size:
+            raise ContractError(f"examples use token id {batch.max_id}, outside the model "
+                                f"vocabulary of {config.vocab_size}")
         predictions, _ = predict_batch(batch, params, config)
         for ex, got in zip(chunk, predictions):
             if got != ex.answer:
@@ -174,7 +172,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
 
     Stops at max_batches, when the lr anneals below lr / MIN_LR_DIVISOR, or
     when the optional target validation error is reached. Raises NumericError
-    with the batch index and lr if an op, the loss or the gradient goes non-finite.
+    with the batch index and lr if an op (in a batch or the evaluation after
+    it), the loss or the gradient goes non-finite.
     """
     if not data.train or not data.val:
         raise DataError("training needs non-empty train and validation splits")
@@ -198,6 +197,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
     epoch = 0
     while not stop:
         for batch in batchify(data.train, cfg.batch_size, seed=cfg.seed * 1_000_003 + epoch):
+            batches += 1
             try:
                 with Tape() as tape:
                     result = forward_batch(batch, params, model_config, training=True)
@@ -212,13 +212,13 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
                 if not np.isfinite(clip_gradients(grads, cfg.max_grad_norm)):
                     raise NumericError("non-finite gradient")
                 adam_step(tensors, grads, adam, lr)
+                val_error = (evaluate(params, model_config, data.val, cfg.batch_size)
+                             if batches % eval_batches == 0 else None)
             except NumericError as exc:
-                raise NumericError(f"{exc} at batch {batches + 1} (lr={lr})") from exc
-            batches += 1
+                raise NumericError(f"{exc} at batch {batches} (lr={lr})") from exc
             window.append(loss_value)
 
-            if batches % eval_batches == 0:
-                val_error = evaluate(params, model_config, data.val, cfg.batch_size)
+            if val_error is not None:
                 window_mean = float(np.mean(window))
                 window = []
                 lr = annealer.update(window_mean, val_error, lr)

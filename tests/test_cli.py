@@ -62,7 +62,7 @@ class TestTrainCmd:
         def poisoned(batch, params, config, **kw):
             calls.append(batch)
             if len(calls) == 3:  # an inf weight reaches the sentence level's gates
-                params.sentence_fwd.layers[0].u_z.data[0, 0] = np.inf
+                params.sentence_fwd.layers[0].u.data[0, 0] = np.inf
             return real_forward(batch, params, config, **kw)
 
         monkeypatch.setattr(amnet.training, "forward_batch", poisoned)
@@ -72,6 +72,29 @@ class TestTrainCmd:
         assert code == 3 and len(calls) == 3
         assert capsys.readouterr().err == (
             "numeric failure: gru_layer produced non-finite values at batch 3 (lr=0.02)\n")
+
+    def test_non_finite_evaluation_names_batch_and_lr(self, capsys, data_dir, tmp_path,
+                                                      monkeypatch):
+        import functools
+
+        import amnet.training
+        real_adam, calls = amnet.training.adam_step, []
+
+        def poisoned(tensors, *args, **kw):
+            real_adam(tensors, *args, **kw)
+            calls.append(None)
+            if len(calls) == 2:  # the evaluation after batch 2 meets an inf embedding
+                tensors[0].data[:] = np.inf
+
+        monkeypatch.setattr(amnet.training, "adam_step", poisoned)
+        monkeypatch.setattr(amnet.cli, "TrainConfig",
+                            functools.partial(amnet.cli.TrainConfig, eval_every=100))
+        with pytest.warns(UserWarning):  # non-standard split size
+            code = main(["train", "--data-dir", str(data_dir), "--task", "1", "--lr", "0.02",
+                         "--max-batches", "5", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 3 and len(calls) == 2
+        assert capsys.readouterr().err == (
+            "numeric failure: take_rows produced non-finite values at batch 2 (lr=0.02)\n")
 
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path), "--task", "1",

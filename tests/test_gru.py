@@ -13,12 +13,17 @@ from amnet.tensor import (
 
 def zero_params(d_in, d):
     z = lambda *s: Tensor(np.zeros(s), requires_grad=True)
-    return GruParams(z(d_in, d), z(d_in, d), z(d_in, d),
-                     z(d, d), z(d, d), z(d, d), z(d), z(d), z(d))
+    return GruParams(z(d_in, 3 * d), z(d, 3 * d), z(3 * d))
 
 
 def random_params(d_in, d, rng):
     return GruParams.create(d_in, d, rng, dtype=np.float64)
+
+
+def per_gate(p):
+    """The cell's arrays split at their gate columns: {"w_z": W_z, ..., "b_h": b_h}."""
+    return {f"{name}_{gate}": a for name, t in p.named()
+            for gate, a in zip("zrh", np.split(t.data, 3, axis=-1))}
 
 
 def scalar_loop_gru(x, h, p):
@@ -26,15 +31,16 @@ def scalar_loop_gru(x, h, p):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
+    m = per_gate(p)
     d = h.shape[0]
     z = np.empty(d)
     r = np.empty(d)
     for j in range(d):
-        z[j] = sig(x @ p.w_z.data[:, j] + h @ p.u_z.data[:, j] + p.b_z.data[j])
-        r[j] = sig(x @ p.w_r.data[:, j] + h @ p.u_r.data[:, j] + p.b_r.data[j])
+        z[j] = sig(x @ m["w_z"][:, j] + h @ m["u_z"][:, j] + m["b_z"][j])
+        r[j] = sig(x @ m["w_r"][:, j] + h @ m["u_r"][:, j] + m["b_r"][j])
     h_tilde = np.empty(d)
     for j in range(d):
-        h_tilde[j] = np.tanh(x @ p.w_h.data[:, j] + (r * h) @ p.u_h.data[:, j] + p.b_h.data[j])
+        h_tilde[j] = np.tanh(x @ m["w_h"][:, j] + (r * h) @ m["u_h"][:, j] + m["b_h"][j])
     return (1.0 - z) * h + z * h_tilde
 
 
@@ -77,9 +83,10 @@ class TestGruStep:
             x = Tensor(rng.normal(size=(2, 4)))
             h = Tensor(rng.normal(size=(2, 6)))
             out = gru_step(x, h, p)
-            z = 1.0 / (1.0 + np.exp(-(x.data @ p.w_z.data + h.data @ p.u_z.data + p.b_z.data)))
-            r = 1.0 / (1.0 + np.exp(-(x.data @ p.w_r.data + h.data @ p.u_r.data + p.b_r.data)))
-            ht = np.tanh(x.data @ p.w_h.data + (r * h.data) @ p.u_h.data + p.b_h.data)
+            m = per_gate(p)
+            z = 1.0 / (1.0 + np.exp(-(x.data @ m["w_z"] + h.data @ m["u_z"] + m["b_z"])))
+            r = 1.0 / (1.0 + np.exp(-(x.data @ m["w_r"] + h.data @ m["u_r"] + m["b_r"])))
+            ht = np.tanh(x.data @ m["w_h"] + (r * h.data) @ m["u_h"] + m["b_h"])
             lo = np.minimum(h.data, ht)
             hi = np.maximum(h.data, ht)
             assert (out.data >= lo - 1e-12).all() and (out.data <= hi + 1e-12).all()
@@ -159,7 +166,7 @@ class TestGruLayer:
     def test_non_finite_weight_names_the_op(self):
         rng = np.random.default_rng(16)
         p = random_params(2, 3, rng)
-        p.u_z.data[0, 0] = np.inf
+        p.u.data[0, 0] = np.inf  # U_z[0, 0]
         with pytest.raises(NumericError, match="gru_layer"):
             gru_layer(Tensor(rng.normal(size=(15, 2))), Tensor(np.ones((3, 3))), p)
 
@@ -244,7 +251,7 @@ class TestGruLayer:
         # every pre-activation is far past where float64 tanh reaches +-1, so
         # z and r are exactly 0 or 1 and h~ exactly -1 or 1: from h0 = 0 each
         # step keeps the state or takes the candidate, with no rounding
-        m = {name: t.data.astype(np.float64) for name, t in p.named()}
+        m = {name: a.astype(np.float64) for name, a in per_gate(p).items()}
         h = np.zeros((3, 3))
         for t in range(5):
             xt = x[:, t].astype(np.float64)
@@ -399,7 +406,7 @@ class TestPairLayer:
     def test_non_finite_backward_weight_names_the_op(self, depth):
         rng = np.random.default_rng(21)
         fwd, bwd = self.specs(depth, rng)
-        bwd.layers[0].u_z.data[0, 0] = np.inf
+        bwd.layers[0].u.data[0, 0] = np.inf  # U_z[0, 0]
         h0 = Tensor(np.ones((3, 3)))
         with pytest.raises(NumericError, match="gru_layer"):
             run_bidirectional(Tensor(rng.normal(size=(15, 2))), h0, h0, fwd, bwd, self.MASK)

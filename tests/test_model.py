@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import struct
 
@@ -174,7 +175,7 @@ class TestEncoders:
         config, params, rng = setup
         ids = np.array([[5, 6]])
         before = encode_question(ids, None, params, config).data.copy()
-        params.encoder.layers[0].w_z.data += 0.05
+        params.encoder.layers[0].w.data[:, :config.size] += 0.05  # W_z
         after = encode_question(ids, None, params, config).data
         assert not np.allclose(before, after)
         # the same parameter object is observed through the document path
@@ -573,7 +574,7 @@ class TestCheckpoint:
     def test_non_finite_array_refused(self, tmp_path, monkeypatch, capsys):
         config = toy_config(size=8)
         params = init_params(config, seed=7, dtype=np.float32)
-        dict(params.named_parameters())["sentence_fwd.0.u_z"].data[0, 0] = np.nan
+        dict(params.named_parameters())["sentence_fwd.0.u"].data[0, 0] = np.nan  # U_z[0, 0]
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, config, path, Vocabulary([f"w{i}" for i in range(10)]))
         with pytest.raises(CheckpointError, match=r"model\.ckpt: array sentence_fwd\.0\.u_z"):
@@ -602,8 +603,19 @@ class TestCheckpoint:
 
     def test_param_shapes_match_init_params(self):
         config = toy_config(depth=2)
-        want = {n: t.shape for n, t in init_params(config).named_parameters()}
+        want = {n: a.shape for n, a in model_module._file_arrays(init_params(config))}
         assert model_module._param_shapes(config) == want
+        assert want["encoder.1.w_z"] == (6, 6) and want["encoder.1.b_h"] == (6,)
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # a fixed model's AMN1 bytes: the file keeps each GRU cell as nine
+        # per-gate arrays, whatever layout the parameters have in memory
+        config = toy_config(depth=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(config, seed=0), config, path,
+                        Vocabulary([f"w{i}" for i in range(10)]))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "605e27ac99d5ce1c1c36bedf54b8d10abd7fd5f7566cb9aaaf0d7effc347d021")
 
     def test_double_params_round_trip_at_stored_precision(self, setup, tmp_path):
         config = toy_config()
