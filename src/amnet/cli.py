@@ -116,9 +116,9 @@ def cmd_train(args) -> int:
     size, layers, memories, budget = TASK_SETTINGS[task]
     data = load_task_data(_data_dir(args), task)
     config = ModelConfig(
-        size=args.size or size,
-        depth=args.layers or layers,
-        memories=args.memories or memories,
+        size=size if args.size is None else args.size,
+        depth=layers if args.layers is None else args.layers,
+        memories=memories if args.memories is None else args.memories,
         vocab_size=len(data.vocab),
         max_sentence_len=data.max_sentence_len,
         max_answer_len=data.max_answer_len,
@@ -180,7 +180,6 @@ def cmd_ask(args) -> int:
     ckpt = _load_with_vocab(args.model)
     vocab = ckpt.vocab
     statements: list[list[str]] = []
-    story: list[list[int]] = []  # each statement's ids, encoded once on arrival
     rows: list[int] = []  # per statement, its row among the story's distinct ones
     distinct: dict[tuple, int] = {}
     unread: list[list[int]] = []  # distinct statements told since the last question
@@ -191,7 +190,7 @@ def cmd_ask(args) -> int:
         if not line:
             continue
         if line == "reset":
-            statements, story, rows, distinct, unread, kept = [], [], [], {}, [], []
+            statements, rows, distinct, unread, kept = [], [], {}, [], []
             print("(story cleared)")
             continue
         if line.startswith("?"):
@@ -206,7 +205,6 @@ def cmd_ask(args) -> int:
             # the batch of the unread statements, re-pointed at the whole story
             batch = make_batch([EncodedExample(unread, [], ids, [0], [])])
             batch.sentence_rows, batch.sentence_mask = np.array([rows]), np.ones((1, len(rows)))
-            batch.examples = [EncodedExample(story, [], ids, [0], [])]
             predictions, records = predict_batch(batch, ckpt.params, ckpt.config,
                                                  want_records=True, kept=kept)
             unread = []
@@ -220,11 +218,11 @@ def cmd_ask(args) -> int:
             print("(empty statement)")
             continue
         statements.append(statement)
-        story.append(vocab.encode(statement))
-        key = tuple(story[-1])
+        ids = vocab.encode(statement)
+        key = tuple(ids)
         if key not in distinct:
             distinct[key] = len(distinct)
-            unread.append(story[-1])
+            unread.append(ids)
         rows.append(distinct[key])
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -244,42 +245,36 @@ class Batch:
         return int(max(a.max(initial=0) for a in (self.sentences, self.question, self.answer)))
 
 
+def _padded(rows, width: int, fill: int = PAD):
+    """Ragged id lists as a ``fill``-padded int64 [len(rows), width] array,
+    plus its float64 {0,1} mask of real positions."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    mask = np.arange(width) < lengths[:, None]
+    ids = np.full(mask.shape, fill, dtype=np.int64)
+    ids[mask] = np.fromiter(itertools.chain.from_iterable(rows), np.int64)
+    return ids, mask.astype(np.float64)
+
+
 def make_batch(examples) -> Batch:
     """Pad a group of encoded examples to its own max dimensions."""
     exs = list(examples)
     if not exs:
         raise DataError("cannot build an empty batch")
-    b = len(exs)
     s_max = max(len(e.story) for e in exs)
-    w_max = max((len(sent) for e in exs for sent in e.story), default=1)
-    q_max = max(len(e.question) for e in exs)
-    t_max = max(len(e.answer) for e in exs) + 1  # room for EOS
-
-    sentence_rows = np.zeros((b, s_max), dtype=np.int64)
-    sentence_mask = np.zeros((b, s_max), dtype=np.float64)
-    question = np.full((b, q_max), PAD, dtype=np.int64)
-    question_mask = np.zeros((b, q_max), dtype=np.float64)
-    answer = np.full((b, t_max), PAD, dtype=np.int64)
-    answer_mask = np.zeros((b, t_max), dtype=np.float64)
 
     # the empty tuple is the all-PAD row, shared by every padded slot
     table: dict[tuple, int] = {}
-    for i, e in enumerate(exs):
-        n = len(e.story)
-        sentence_rows[i, :n] = [table.setdefault(tuple(sent), len(table)) for sent in e.story]
-        if n < s_max:
-            sentence_rows[i, n:] = table.setdefault((), len(table))
-        sentence_mask[i, :n] = 1.0
-        question[i, :len(e.question)] = e.question
-        question_mask[i, :len(e.question)] = 1.0
-        gold = list(e.answer) + [EOS]
-        answer[i, :len(gold)] = gold
-        answer_mask[i, :len(gold)] = 1.0
-    sentences = np.full((len(table), w_max), PAD, dtype=np.int64)
-    sentence_word_mask = np.zeros((len(table), w_max), dtype=np.float64)
-    for sent, r in table.items():
-        sentences[r, :len(sent)] = sent
-        sentence_word_mask[r, :len(sent)] = 1.0
+    slots = []
+    for e in exs:
+        slots.append([table.setdefault(tuple(sent), len(table)) for sent in e.story])
+        if len(e.story) < s_max:
+            table.setdefault((), len(table))
+    sentence_rows, sentence_mask = _padded(slots, s_max, table.get((), PAD))
+    question, question_mask = _padded([e.question for e in exs],
+                                      max(len(e.question) for e in exs))
+    answers = [(*e.answer, EOS) for e in exs]
+    answer, answer_mask = _padded(answers, max(map(len, answers)))
+    sentences, sentence_word_mask = _padded(list(table), max(map(len, table), default=1))
     return Batch(sentence_mask, question, question_mask, answer, answer_mask,
                  sentences, sentence_word_mask, sentence_rows, exs)
 

@@ -296,23 +296,21 @@ def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: T
 
 
 def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
-                  params: ModelParams, config: ModelConfig, m: int | None = None):
-    """m attentive steps over the sentence states, fed the question state.
+                  params: ModelParams, config: ModelConfig):
+    """``config.memories`` attentive steps over the sentence states, fed the
+    question state.
 
     The cell starts from the document encoding (m_0 = h_sen_final).
-    Returns (memories, weights, contexts): m state tensors [B, e] plus the
-    per-step attention rows and context vectors.
+    Returns (memories, weights, contexts): one state tensor [B, e] per step
+    plus the per-step attention rows and context vectors.
     """
-    m = config.memories if m is None else m
-    if m < 1:
-        raise ConfigError("memory module needs at least one step")
     b = h_que.shape[0]
     hs = _stack_init(h_sen_final, params.memory_cell.depth)
     memories: list[Tensor] = []
     weights: list[Tensor] = []
     contexts: list[Tensor] = []
     k = h_sen.shape[0] // b
-    for _ in range(m):
+    for _ in range(config.memories):
         out, hs, a, d = attentive_cell_step(
             h_que, hs, h_sen, params.memory_cell, params.memory_attention, sentence_mask, k)
         memories.append(out)
@@ -361,13 +359,12 @@ def decode_teacher_forced(memories, targets, params: ModelParams):
     return _decode(memories, params, tgt.shape[1], lambda t, _: tgt[:, t])
 
 
-def decode_greedy(memories, params: ModelParams, config: ModelConfig,
-                  max_answer_len: int | None = None):
+def decode_greedy(memories, params: ModelParams, config: ModelConfig):
     """Free-running greedy decode; halts at EOS (all rows) or the length cap.
 
     Returns (tokens [B, steps], attention weights per step).
     """
-    cap = (config.max_answer_len if max_answer_len is None else max_answer_len) + 1
+    cap = config.max_answer_len + 1
     done = np.zeros(memories[0].shape[0], dtype=bool)
     steps: list[np.ndarray] = []
 
@@ -424,8 +421,8 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
 
 def _build_records(batch, predictions, mem_weights, mem_contexts, dec_weights):
     records = []
-    for i, ex in enumerate(batch.examples):
-        n_sent = len(ex.story)
+    for i, real in enumerate(batch.sentence_mask):
+        n_sent = int(real.sum())
         mem = np.stack([w.data[i, :n_sent] for w in mem_weights])
         ctx = np.stack([c.data[i] for c in mem_contexts])
         t_i = min(len(predictions[i]) + 1, len(dec_weights))

@@ -17,7 +17,6 @@ __all__ = ["generate_task", "write_task_files", "GENERATED_TASKS"]
 ACTORS = ("Mary", "John", "Daniel", "Sandra")
 LOCATIONS = ("bathroom", "bedroom", "garden", "hallway", "kitchen", "office")
 VERBS = ("moved", "went", "journeyed", "travelled")
-ROOMS = ("bathroom", "bedroom", "garden", "hallway", "kitchen", "office")
 RELATIONS = ("north", "south", "east", "west")
 
 GENERATED_TASKS = (1, 4, 12)
@@ -55,7 +54,7 @@ def _task1_story(rng: np.random.Generator) -> list[str]:
 
 def _task4_story(rng: np.random.Generator) -> list[str]:
     """One story: a two-statement chain A-R-B, B-R-C and one question (3 lines)."""
-    a, b, c = [ROOMS[i] for i in rng.choice(len(ROOMS), size=3, replace=False)]
+    a, b, c = [LOCATIONS[i] for i in rng.choice(len(LOCATIONS), size=3, replace=False)]
     rel = RELATIONS[rng.integers(len(RELATIONS))]
     lines = [
         f"1 The {a} is {rel} of the {b}.",

@@ -9,6 +9,7 @@ best, or validation error rising against the previous evaluation).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ class TrainConfig:
             raise ConfigError("training settings must be positive and finite")
         if self.max_batches < 0:
             raise ConfigError("max_batches must be >= 0")
+        if self.target_val_error is not None and not 0 <= self.target_val_error <= 1:
+            raise ConfigError(f"target_val_error must lie in [0, 1], got {self.target_val_error}")
         if self.eval_every % self.batch_size:
             raise ConfigError(
                 f"eval_every {self.eval_every} not divisible by batch size {self.batch_size}")
@@ -153,6 +156,12 @@ def evaluate(params: ModelParams, config: ModelConfig, examples,
     return wrong / len(examples)
 
 
+def _batches(examples, cfg: TrainConfig):
+    """Shuffled training batches, epoch after epoch, each epoch its own seed."""
+    for epoch in itertools.count():
+        yield from batchify(examples, cfg.batch_size, seed=cfg.seed * 1_000_003 + epoch)
+
+
 def _snapshot(tensors) -> list[np.ndarray]:
     return [t.data.copy() for t in tensors]
 
@@ -193,51 +202,41 @@ def train(model_config: ModelConfig, train_config: TrainConfig, data: TaskData) 
     best_arrays = _snapshot(tensors)
     batches = 0
     t0 = time.perf_counter()
-    stop = batches >= cfg.max_batches
-    epoch = 0
-    while not stop:
-        for batch in batchify(data.train, cfg.batch_size, seed=cfg.seed * 1_000_003 + epoch):
-            batches += 1
-            try:
-                with Tape() as tape:
-                    result = forward_batch(batch, params, model_config, training=True)
-                loss_value = float(result.loss.data)
-                if not np.isfinite(loss_value):
-                    raise NumericError("loss became non-finite")
-                tape.backward(result.loss)
-                grads = []
-                for t in tensors:
-                    grads.append(t.grad if t.grad is not None else np.zeros_like(t.data))
-                    t.grad = None
-                if not np.isfinite(clip_gradients(grads, cfg.max_grad_norm)):
-                    raise NumericError("non-finite gradient")
-                adam_step(tensors, grads, adam, lr)
-                val_error = (evaluate(params, model_config, data.val, cfg.batch_size)
-                             if batches % eval_batches == 0 else None)
-            except NumericError as exc:
-                raise NumericError(f"{exc} at batch {batches} (lr={lr})") from exc
-            window.append(loss_value)
+    stream = itertools.islice(_batches(data.train, cfg), cfg.max_batches)
+    for batches, batch in enumerate(stream, 1):
+        try:
+            with Tape() as tape:
+                result = forward_batch(batch, params, model_config, training=True)
+            loss_value = float(result.loss.data)
+            if not np.isfinite(loss_value):
+                raise NumericError("loss became non-finite")
+            tape.backward(result.loss)
+            grads = []
+            for t in tensors:
+                grads.append(t.grad if t.grad is not None else np.zeros_like(t.data))
+                t.grad = None
+            if not np.isfinite(clip_gradients(grads, cfg.max_grad_norm)):
+                raise NumericError("non-finite gradient")
+            adam_step(tensors, grads, adam, lr)
+            val_error = (evaluate(params, model_config, data.val, cfg.batch_size)
+                         if batches % eval_batches == 0 else None)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at batch {batches} (lr={lr})") from exc
+        window.append(loss_value)
 
-            if val_error is not None:
-                window_mean = float(np.mean(window))
-                window = []
-                lr = annealer.update(window_mean, val_error, lr)
-                log.append(TrainLogEntry(batches, window_mean, val_error, lr,
-                                         time.perf_counter() - t0))
-                if val_error < best_err:
-                    best_err = val_error
-                    best_batch = batches
-                    best_arrays = _snapshot(tensors)
-                if cfg.target_val_error is not None and val_error <= cfg.target_val_error:
-                    stop = True
-                    break
-                if lr < min_lr:
-                    stop = True
-                    break
-            if batches >= cfg.max_batches:
-                stop = True
+        if val_error is not None:
+            window_mean = float(np.mean(window))
+            window = []
+            lr = annealer.update(window_mean, val_error, lr)
+            log.append(TrainLogEntry(batches, window_mean, val_error, lr,
+                                     time.perf_counter() - t0))
+            if val_error < best_err:
+                best_err = val_error
+                best_batch = batches
+                best_arrays = _snapshot(tensors)
+            if lr < min_lr or (cfg.target_val_error is not None
+                               and val_error <= cfg.target_val_error):
                 break
-        epoch += 1
     for t, arr in zip(tensors, best_arrays):
         t.data = arr
     return TrainResult(params, model_config, log, batches, float(best_err), best_batch)

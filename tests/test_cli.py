@@ -55,6 +55,29 @@ class TestTrainCmd:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
 
+    @pytest.mark.parametrize("flag", ["--size", "--layers", "--memories"])
+    def test_zero_model_setting_is_data_error(self, capsys, data_dir, tmp_path, flag):
+        out = tmp_path / "zero.ckpt"
+        with pytest.warns(UserWarning):  # non-standard split size
+            code = main(["train", "--data-dir", str(data_dir), "--task", "1", flag, "0",
+                         "--max-batches", "0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "got 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "1.5"])
+    def test_target_val_error_outside_unit_interval_is_data_error(
+            self, capsys, data_dir, tmp_path, value):
+        out = tmp_path / "target.ckpt"
+        with pytest.warns(UserWarning):  # non-standard split size
+            code = main(["train", "--data-dir", str(data_dir), "--task", "1",
+                         "--target-val-error", value, "--max-batches", "0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "target_val_error" in err
+        assert not out.exists()
+
     def test_non_finite_op_names_batch_and_lr(self, capsys, data_dir, tmp_path, monkeypatch):
         import amnet.training
         real_forward, calls = amnet.training.forward_batch, []

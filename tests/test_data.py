@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amnet.data import (
-    EOS, GO, PAD, UNK, DataError, Example, ParseError, Vocabulary, batchify,
+    EOS, GO, PAD, UNK, DataError, EncodedExample, Example, ParseError, Vocabulary, batchify,
     build_vocabulary, detokenize, find_task_file, load_task_data, make_batch,
     parse_babi_file, split_train_val, tokenize,
 )
@@ -374,3 +374,81 @@ class TestInternedLoading:
                   for ex in raw]
         assert vocab.encode_examples(copies) == vocab.encode_examples(raw)
         assert [vocab.encode_example(ex) for ex in copies] == vocab.encode_examples(raw)
+
+
+def _reference_make_batch(examples):
+    """make_batch as a loop filling each array per example and per table row."""
+    exs = list(examples)
+    b = len(exs)
+    s_max = max(len(e.story) for e in exs)
+    w_max = max((len(sent) for e in exs for sent in e.story), default=1)
+    q_max = max(len(e.question) for e in exs)
+    t_max = max(len(e.answer) for e in exs) + 1
+
+    sentence_rows = np.zeros((b, s_max), dtype=np.int64)
+    sentence_mask = np.zeros((b, s_max), dtype=np.float64)
+    question = np.full((b, q_max), PAD, dtype=np.int64)
+    question_mask = np.zeros((b, q_max), dtype=np.float64)
+    answer = np.full((b, t_max), PAD, dtype=np.int64)
+    answer_mask = np.zeros((b, t_max), dtype=np.float64)
+    table: dict[tuple, int] = {}
+    for i, e in enumerate(exs):
+        n = len(e.story)
+        sentence_rows[i, :n] = [table.setdefault(tuple(sent), len(table)) for sent in e.story]
+        if n < s_max:
+            sentence_rows[i, n:] = table.setdefault((), len(table))
+        sentence_mask[i, :n] = 1.0
+        question[i, :len(e.question)] = e.question
+        question_mask[i, :len(e.question)] = 1.0
+        gold = list(e.answer) + [EOS]
+        answer[i, :len(gold)] = gold
+        answer_mask[i, :len(gold)] = 1.0
+    sentences = np.full((len(table), w_max), PAD, dtype=np.int64)
+    sentence_word_mask = np.zeros((len(table), w_max), dtype=np.float64)
+    for sent, r in table.items():
+        sentences[r, :len(sent)] = sent
+        sentence_word_mask[r, :len(sent)] = 1.0
+    return dict(sentence_mask=sentence_mask, question=question, question_mask=question_mask,
+                answer=answer, answer_mask=answer_mask, sentences=sentences,
+                sentence_word_mask=sentence_word_mask, sentence_rows=sentence_rows)
+
+
+def _assert_matches_reference(examples):
+    batch = make_batch(examples)
+    for name, want in _reference_make_batch(examples).items():
+        got = getattr(batch, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert batch.examples == list(examples)
+
+
+class TestMakeBatchReference:
+    @pytest.mark.filterwarnings("ignore:expected 10,000 examples")
+    @pytest.mark.parametrize("task", [1, 4, 12])
+    def test_generated_tasks(self, tmp_path, task):
+        write_task_files(tmp_path, task, n_train=300, n_test=60, seed=5)
+        data = load_task_data(tmp_path, task)
+        for split in (data.train, data.val, data.test):
+            order = np.random.default_rng(task).permutation(len(split))
+            exs = [split[j] for j in order]
+            for size in (1, 7, 50):
+                for i in range(0, len(exs), size):
+                    _assert_matches_reference(exs[i:i + size])
+
+    @pytest.mark.parametrize("examples", [
+        # a story with no statements beside a longer one
+        [EncodedExample([], [], [5], [6], []), EncodedExample([[4, 5]], [1], [5], [6], [])],
+        # an empty statement
+        [EncodedExample([[4, 5], []], [1, 2], [5], [6], []),
+         EncodedExample([[7]], [1], [5], [6], [])],
+        # empty questions
+        [EncodedExample([[4, 5]], [1], [], [6], []),
+         EncodedExample([[4]], [1], [], [6, 7], [])],
+        # no padded slot
+        [EncodedExample([[4, 5], [6]], [1, 2], [5], [6], []),
+         EncodedExample([[6], [4, 5]], [1, 2], [5, 9], [6], [])],
+        # no statements at all
+        [EncodedExample([], [], [5], [6], [])],
+    ], ids=["empty-story", "empty-statement", "empty-question", "unpadded", "no-statements"])
+    def test_edge_cases(self, examples):
+        _assert_matches_reference(examples)

@@ -239,14 +239,14 @@ class TestEncoders:
 
 
 class TestMemoryModule:
-    def run_modules(self, setup, n_sent=3, m=None):
-        config, params, rng = setup
+    def run_modules(self, setup, n_sent=3, m=1):
+        _, params, rng = setup
+        config = toy_config(memories=m)
         ex = toy_example(rng, n_sent=n_sent)
         batch = make_batch([ex])
         h_que = encode_question(batch.question, batch.question_mask, params, config)
         h_sen, h_final, _ = read_document(batch, h_que, params, config)
-        out = memory_module(h_que, h_sen, batch.sentence_mask, h_final,
-                            params, config, m=m)
+        out = memory_module(h_que, h_sen, batch.sentence_mask, h_final, params, config)
         return out, h_que, h_sen, h_final, batch
 
     def test_single_sentence_weight_is_one(self, setup):
@@ -278,11 +278,9 @@ class TestMemoryModule:
         np.testing.assert_allclose(memories[1].data, out.data, atol=1e-12)
         np.testing.assert_allclose(weights[1].data, a.data, atol=1e-12)
 
-    def test_zero_memories_rejected(self, setup):
-        config, params, rng = setup
+    def test_zero_memories_rejected(self):
         with pytest.raises(ConfigError):
-            memory_module(Tensor(np.zeros((1, 6))), Tensor(np.zeros((2, 6))),
-                          None, Tensor(np.zeros((1, 6))), params, config, m=0)
+            toy_config(memories=0)
 
 
 class TestDecoder:

@@ -92,6 +92,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_target_val_error_must_lie_in_unit_interval(self, value):
+        with pytest.raises(ConfigError, match="target_val_error"):
+            TrainConfig(target_val_error=value)
+
+    @pytest.mark.parametrize("value", [None, 0.0, 0.5, 1.0])
+    def test_target_val_error_in_unit_interval_accepted(self, value):
+        assert TrainConfig(target_val_error=value).target_val_error == value
+
 
 def anneal(lr, history):
     """Replay the default annealing rule over (train_loss, val_error) evaluations."""
