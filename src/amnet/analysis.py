@@ -77,8 +77,9 @@ def stack_macs(d_in: int, d: int, depth: int) -> int:
 
 
 def attend_macs(k: int, e: int) -> int:
-    """W1 per state, W2 once per query, score dot, context mix, projection."""
-    return k * e * e + e * e + 2 * k * e + 2 * e * e
+    """One query over k states whose keys (W1 per state, k*e*e, once per
+    recurrence) are projected: W2, score dot, context mix, projection."""
+    return e * e + 2 * k * e + 2 * e * e
 
 
 @dataclass
@@ -116,8 +117,8 @@ def count_ops(config: ModelConfig, story_shape, memories: int | None = None) -> 
         question_encoder=q * cell,
         word_level_encoder=s * w * cell,
         sentence_level_encoder=2 * s * cell,
-        memory_module=m * (cell + attend_macs(s, e)),
-        decoder=(answer_len + 1) * (cell + attend_macs(m, e) + e * config.vocab_size),
+        memory_module=(s * e * e if m else 0) + m * (cell + attend_macs(s, e)),
+        decoder=m * e * e + (answer_len + 1) * (cell + attend_macs(m, e) + e * config.vocab_size),
         baseline_memory=m * s * (w + 1) * cell,
     )
 
@@ -263,9 +264,13 @@ def reproduce_tasks(data_dir, tasks, budget_multiplier: float = 1.0, seed: int =
                      jobs: int = 1, out_path=None):
     """Train each task with its bundled reference settings and report test error.
 
-    Raises DataError up front, listing every missing file, if any task's
-    data is absent. ``budget_multiplier`` scales the per-task batch budget.
+    Raises up front ConfigError for a bad lr, clip or seed, and DataError,
+    listing every missing file, if any task's data is absent.
+    ``budget_multiplier`` scales the per-task batch budget.
     """
+    from amnet.training import TrainConfig
+
+    TrainConfig(lr=lr, max_grad_norm=max_grad_norm, seed=seed)
     tasks = list(tasks)
     unknown = [t for t in tasks if t not in TASK_SETTINGS]
     if unknown:

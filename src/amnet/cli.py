@@ -175,7 +175,7 @@ def cmd_ask(args) -> int:
     only the statements new since the one before (`encode_document`)."""
     import numpy as np
 
-    from amnet.data import EncodedExample
+    from amnet.data import Batch, _padded
 
     ckpt = _load_with_vocab(args.model)
     vocab = ckpt.vocab
@@ -202,9 +202,12 @@ def cmd_ask(args) -> int:
                 print("(empty question)")
                 continue
             ids = vocab.encode(question)
-            # the batch of the unread statements, re-pointed at the whole story
-            batch = make_batch([EncodedExample(unread, [], ids, [0], [])])
-            batch.sentence_rows, batch.sentence_mask = np.array([rows]), np.ones((1, len(rows)))
+            # a batch of the unread statements, its rows pointing into the
+            # whole story, and no answer
+            sentences, word_mask = _padded(unread, max(map(len, unread), default=1))
+            batch = Batch(np.ones((1, len(rows))), np.array([ids]), np.ones((1, len(ids))),
+                          np.zeros((1, 0), np.int64), np.zeros((1, 0)), sentences, word_mask,
+                          np.array([rows]), [])
             predictions, records = predict_batch(batch, ckpt.params, ckpt.config,
                                                  want_records=True, kept=kept)
             unread = []

@@ -10,8 +10,11 @@ and projects each state onto the vocabulary.
 
 All attention sites share one additive form: score each state against
 the query through a tanh bottleneck, softmax, mix, then project the
-concatenated context and candidate state back to width e. One embedding
-matrix serves question, document and answer tokens.
+concatenated context and candidate state back to width e. The memory
+module and the decoder are each one tape op (`memory_layer`,
+`decoder_layer`) whose forward is plain numpy that projects the attention
+keys once per call and whose backward is BPTT. One embedding matrix
+serves question, document and answer tokens.
 
 Everything is batch-first ([B, e] states); single-example calls use B=1.
 Sentence states for a batch live in one [B*S, e] tensor, row b*S+s
@@ -28,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from amnet.data import EOS, GO, DataError, Vocabulary, make_batch
-from amnet.gru import ConfigError, StackSpec, gru_step, run_bidirectional, run_sequence
+from amnet.gru import ConfigError, GruParams, StackSpec, gru_step, run_bidirectional, run_sequence
 from amnet.tensor import (
-    ContractError, ShapeError, Tensor, add, concat_cols, constant,
-    cross_entropy_rows, interleave_rows, matmul, mix_rows, mul, repeat_rows,
+    ContractError, MaskError, ShapeError, Tensor, _count_macs, _emit_all, _finite, _wrap, add,
+    concat_cols, constant, cross_entropy_rows, matmul, mix_rows, mul, repeat_rows,
     reshape, scale, softmax_masked, sum_all, take_rows, tanh,
 )
 
@@ -39,8 +42,9 @@ __all__ = [
     "AttentionParams", "AttentionRecord", "Checkpoint", "CheckpointError",
     "ForwardResult", "ModelConfig", "ModelParams", "attend",
     "attentive_cell_step", "decode_greedy", "decode_teacher_forced",
-    "encode_document", "encode_question", "forward_batch", "forward_example",
-    "init_params", "load_checkpoint", "memory_module", "save_checkpoint",
+    "decoder_layer", "encode_document", "encode_question", "forward_batch",
+    "forward_example", "init_params", "load_checkpoint", "memory_layer", "memory_module",
+    "save_checkpoint",
 ]
 
 
@@ -170,7 +174,9 @@ class AttentionRecord:
 
 def attend(query: Tensor, states: Tensor, params: AttentionParams,
            mask=None, k: int | None = None):
-    """Additive attention of ``query`` [B, e] over ``states`` [B*k, e].
+    """Additive attention of ``query`` [B, e] over ``states`` [B*k, e], as
+    composed tape ops (the model runs it inside `memory_layer` and
+    `decoder_layer`, which compute the same values).
 
     Returns (context [B, e], weights [B, k]). ``mask`` ([B, k]) hides
     padded states; with B=1 this is plain attention over k state rows.
@@ -196,7 +202,8 @@ def attend(query: Tensor, states: Tensor, params: AttentionParams,
 def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
                         att: AttentionParams, mask=None, k: int | None = None):
     """One attentive recurrent step: candidate = gru(x, h); attend with the
-    candidate as query; output = proj(context || candidate).
+    candidate as query; output = proj(context || candidate). Composed tape
+    ops: the reference for a step of `memory_layer` and `decoder_layer`.
 
     ``h_prev`` is a [B, e] tensor (depth 1) or a per-layer list. Returns
     (output, new_states, weights, context); the output replaces the top
@@ -219,11 +226,6 @@ def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
 
 def _zeros_like_state(batch: int, e: int, dtype) -> Tensor:
     return constant(np.zeros((batch, e), dtype=dtype))
-
-
-def _stack_init(first: Tensor, depth: int):
-    b, e = first.shape
-    return [first] + [_zeros_like_state(b, e, first.dtype) for _ in range(depth - 1)]
 
 
 def _read_words(ids: np.ndarray, mask, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -295,58 +297,266 @@ def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: T
     return h_sen, h_sen_final, s
 
 
+class _Recurrence:
+    """An attentive GRU recurrence in plain numpy over fixed ``states``
+    [B*k, e]: per step, the cell stack's top state is the candidate, which
+    queries additive attention over the states, and proj(context ||
+    candidate) becomes the output and the top layer's carried state. The
+    keys ``states @ W1`` are projected once. Working arrays are step-major,
+    sized for at most ``steps`` steps; `step` runs one, `backward` is BPTT
+    over the steps run."""
+
+    def __init__(self, states: np.ndarray, mask, first: np.ndarray, cell: StackSpec,
+                 att: AttentionParams, steps: int):
+        (b, e), rows = first.shape, states.shape[0]
+        if rows == 0 or rows % b:
+            raise ContractError(f"cannot split {rows} states into {b} groups")
+        k, d, depth = rows // b, cell.d, cell.depth
+        if states.shape[1] != e or d != e or att.proj.shape != (2 * e, e):
+            raise ShapeError(f"attentive cell of width {d} over states {states.shape} "
+                             f"from {first.shape}")
+        self.live = None
+        if mask is not None:
+            live = np.asarray(mask) != 0
+            if live.shape != (b, k):
+                raise ShapeError(f"mask shape {live.shape} does not match {b} rows x {k} states")
+            if not live.any(axis=1).all():
+                raise MaskError("attention mask must keep at least one state per row")
+            self.live = None if live.all() else live
+        self.b, self.k, self.e, self.depth = b, k, e, depth
+        self.cell, self.att, self.states = cell, att, states
+        self.s3 = states.reshape(b, k, e)
+        self.keys = (states @ att.w1.data).reshape(b, k, e)
+        # per layer: W, b, U_z|U_r, U_h, and U_z|U_r halved for sig's tanh form
+        self.layers = [(p.w.data, p.b.data, p.u.data[:, :2 * d], p.u.data[:, 2 * d:],
+                        p.u.data[:, :2 * d] * 0.5) for p in cell.layers]
+        dt = np.result_type(states, first, att.w1.data, *self.layers[0])
+        self.pre = np.empty((steps, depth, b, 3 * d), dt)  # GRU pre-activations
+        self.zr = np.empty((steps, depth, b, 2 * d), dt)   # gates z | r
+        self.cand = np.empty((steps, depth, b, d), dt)     # h~
+        self.rh = np.empty((steps, depth, b, d), dt)       # r * h, the input of U_h
+        self.h = np.zeros((steps + 1, depth, b, d), dt)    # carried states; the top's is the output
+        self.h[0, 0] = first
+        self.att_pre = np.empty((steps, b, k, e), dt)      # keys + query part
+        self.tanh = np.empty((steps, b, k, e), dt)
+        self.p = np.empty((steps, b, k), dt)               # attention weights
+        self.cat = np.empty((steps, b, 2 * e), dt)         # context | candidate
+        self.x: list[np.ndarray] = []                      # input of each step
+        self.n = 0
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One step on input ``x`` [B, d_in]; returns the output [B, e]."""
+        t, d, e, top = self.n, self.e, self.e, self.depth - 1
+        self.x.append(x)
+        for li, (w, bias, _, u_h, half_u_zr) in enumerate(self.layers):
+            h, zr, rh = self.h[t, li], self.zr[t, li], self.rh[t, li]
+            pre = np.matmul(x, w, out=self.pre[t, li])
+            pre += bias
+            a_zr, a_h = pre[:, :2 * d], pre[:, 2 * d:]
+            a_zr *= 0.5  # sig(a) = (1 + tanh(a/2))/2, as in gru_layer
+            a_zr += h @ half_u_zr
+            np.tanh(a_zr, out=zr)
+            zr += 1.0
+            zr *= 0.5
+            np.multiply(zr[:, d:], h, out=rh)
+            a_h += rh @ u_h
+            x = self.cat[t, :, e:] if li == top else self.h[t + 1, li]
+            np.subtract(np.tanh(a_h, out=self.cand[t, li]), h, out=x)
+            x *= zr[:, :d]
+            x += h
+        # additive attention with the candidate x as query, then the projection
+        a = np.add(self.keys, (x @ self.att.w2.data)[:, None, :], out=self.att_pre[t])
+        th = np.tanh(a, out=self.tanh[t])
+        u = (th.reshape(-1, e) @ self.att.v.data).reshape(self.b, self.k)
+        p = self.p[t]
+        if self.live is None:
+            np.subtract(u, u.max(axis=1, keepdims=True), out=p)
+            np.exp(p, out=p)
+        else:
+            u = np.where(self.live, u, -np.inf)
+            u -= u.max(axis=1, keepdims=True)
+            np.copyto(p, np.where(self.live, np.exp(np.where(self.live, u, 0.0)), 0.0))
+        p /= p.sum(axis=1, keepdims=True)
+        np.einsum("bk,bke->be", p, self.s3, out=self.cat[t, :, :e])
+        self.n += 1
+        return np.matmul(self.cat[t], self.att.proj.data, out=self.h[t + 1, top])
+
+    def check(self, op: str) -> None:
+        """Count the MACs of the steps run and check their GRU and attention
+        pre-activations; the callers check the outputs."""
+        d, e, b, k, n = self.e, self.e, self.b, self.k, self.n
+        cell = sum(3 * (w.shape[0] * d + d * d + d) for w, *_ in self.layers)
+        _count_macs(b * (k * e * e + n * (cell + e * e + 2 * k * e + 2 * e * e)))
+        _finite(self.pre[:n], op)
+        _finite(self.att_pre[:n], op)
+
+    def outputs(self) -> list[np.ndarray]:
+        return [self.h[t + 1, -1] for t in range(self.n)]
+
+    def weights(self) -> list[Tensor]:
+        return [_wrap(p) for p in self.p[:self.n]]
+
+    def contexts(self) -> list[Tensor]:
+        return [_wrap(c) for c in self.cat[:self.n, :, :self.e]]
+
+    def params(self) -> list[Tensor]:
+        return [t for layer in self.cell.layers for _, t in layer.named()] + [
+            self.att.w1, self.att.w2, self.att.v, self.att.proj]
+
+    def backward(self, douts):
+        """BPTT from the gradients of the step outputs (None for none).
+
+        Returns the gradients of the layer-0 pre-activations per step
+        [n, B, 3d] (the caller maps them onto its inputs), of the states
+        [B*k, e], of ``first``, and of `params` in order."""
+        n, b, k, e, d, top = self.n, self.b, self.k, self.e, self.e, self.depth - 1
+        w1, w2, v, proj = (t.data for t in (self.att.w1, self.att.w2, self.att.v, self.att.proj))
+        da = np.empty((n, self.depth, b, 3 * d), self.pre.dtype)  # of the GRU pre-activations
+        d_out, d_u, d_q = (np.empty((n, b, c), da.dtype) for c in (e, k, e))
+        d_att = np.empty((n, b, k, e), da.dtype)
+        d_s3 = np.zeros((b, k, e), da.dtype)
+        carry = [np.zeros((b, d), da.dtype) for _ in range(self.depth)]
+        for t in range(n - 1, -1, -1):
+            dout = carry[top] if douts[t] is None else douts[t] + carry[top]
+            d_out[t] = dout
+            dcat = dout @ proj.T
+            dctx, p = dcat[:, :e], self.p[t]
+            dp = np.einsum("be,bke->bk", dctx, self.s3)
+            d_s3 += p[:, :, None] * dctx[:, None, :]
+            np.multiply(p, dp - (dp * p).sum(axis=1, keepdims=True), out=d_u[t])
+            th = self.tanh[t]
+            np.multiply(d_u[t][:, :, None] * v[:, 0], 1.0 - th * th, out=d_att[t])
+            np.sum(d_att[t], axis=1, out=d_q[t])
+            dh = dcat[:, e:] + d_q[t] @ w2.T
+            for li in range(top, -1, -1):
+                _, _, u_zr, u_h, _ = self.layers[li]
+                if li < top:
+                    dh = dx + carry[li]
+                zr, c, prev, da_t = self.zr[t, li], self.cand[t, li], self.h[t, li], da[t, li]
+                da_zr, da_h = da_t[:, :2 * d], da_t[:, 2 * d:]
+                np.multiply(dh * zr[:, :d], 1.0 - c * c, out=da_h)
+                drh = da_h @ u_h.T
+                np.multiply(dh, c - prev, out=da_zr[:, :d])
+                np.multiply(drh, prev, out=da_zr[:, d:])
+                da_zr *= zr * (1.0 - zr)
+                carry[li] = dh * (1.0 - zr[:, :d]) + drh * zr[:, d:] + da_zr @ u_zr.T
+                if li:
+                    dx = da_t @ self.layers[li][0].T
+        # weight gradients: one product over all steps each
+        grads = []
+        for li, (w, *_) in enumerate(self.layers):
+            x = np.stack(self.x) if li == 0 else self.h[1:n + 1, li - 1]
+            flat = da[:, li].reshape(-1, 3 * d)
+            grads += [x.reshape(-1, w.shape[0]).T @ flat,
+                      np.concatenate([self.h[:n, li].reshape(-1, d).T @ flat[:, :2 * d],
+                                      self.rh[:n, li].reshape(-1, d).T @ flat[:, 2 * d:]], axis=1),
+                      flat.sum(axis=0)]
+        d_keys = d_att.sum(axis=0).reshape(b * k, e)
+        grads += [self.states.T @ d_keys,
+                  self.cat[:n, :, e:].reshape(-1, e).T @ d_q.reshape(-1, e),
+                  self.tanh[:n].reshape(-1, e).T @ d_u.reshape(-1, 1),
+                  self.cat[:n].reshape(-1, 2 * e).T @ d_out.reshape(-1, e)]
+        d_states = d_s3.reshape(b * k, e) + d_keys @ w1.T
+        return da[:, 0], d_states, carry[0], grads
+
+
+def memory_layer(query: Tensor, states: Tensor, mask, first: Tensor, cell: StackSpec,
+                 att: AttentionParams, steps: int):
+    """``steps`` attentive steps over ``states`` [B*k, e] (``mask`` None or
+    [B, k]), each fed ``query`` [B, e], the cell starting from ``first``
+    [B, e] (upper layers from 0): one tape op.
+
+    Returns (outputs, weights, contexts): per step the output [B, e], the
+    attention weights [B, k] and the context [B, e]; only the outputs carry
+    gradients.
+    """
+    if query.shape != first.shape or query.shape[1] != cell.layers[0].d_in:
+        raise ShapeError(f"memory query {query.shape} and start {first.shape} "
+                         f"for a {cell.layers[0].d_in}-input cell")
+    rec = _Recurrence(states.data, mask, first.data, cell, att, steps)
+    for _ in range(steps):
+        rec.step(query.data)
+    rec.check("memory_layer")
+
+    def back(*douts):
+        da0, d_states, d_first, grads = rec.backward(douts)
+        # the query is every step's input: one product for all steps
+        return (da0.sum(axis=0) @ rec.layers[0][0].T, d_states, d_first, *grads)
+
+    outs = _emit_all(rec.outputs(), "memory_layer", (query, states, first, *rec.params()), back)
+    return outs, rec.weights(), rec.contexts()
+
+
 def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
                   params: ModelParams, config: ModelConfig):
     """``config.memories`` attentive steps over the sentence states, fed the
-    question state.
+    question state (`memory_layer`).
 
     The cell starts from the document encoding (m_0 = h_sen_final).
     Returns (memories, weights, contexts): one state tensor [B, e] per step
     plus the per-step attention rows and context vectors.
     """
-    b = h_que.shape[0]
-    hs = _stack_init(h_sen_final, params.memory_cell.depth)
-    memories: list[Tensor] = []
-    weights: list[Tensor] = []
-    contexts: list[Tensor] = []
-    k = h_sen.shape[0] // b
-    for _ in range(config.memories):
-        out, hs, a, d = attentive_cell_step(
-            h_que, hs, h_sen, params.memory_cell, params.memory_attention, sentence_mask, k)
-        memories.append(out)
-        weights.append(a)
-        contexts.append(d)
-    return memories, weights, contexts
+    return memory_layer(h_que, h_sen, sentence_mask, h_sen_final, params.memory_cell,
+                        params.memory_attention, config.memories)
 
 
-def _decoder_logits(state: Tensor, params: ModelParams) -> Tensor:
-    return add(matmul(state, params.out_w), params.out_b)
+def decoder_layer(memories, params: ModelParams, steps: int, targets=None):
+    """The decoder's step loop as one tape op: attentive steps over the
+    memories, interleaved as [B*m, e], from the last memory, each output
+    projected onto the vocabulary.
 
-
-def _decode(memories, params: ModelParams, steps: int, next_ids):
-    """The decoder's step loop. Step 1 consumes the GO embedding; after step
-    t, ``next_ids(t, logits)`` gives the ids step t+1 consumes, or None to
-    stop. Returns (logits per step, attention weights per step)."""
-    m_states = interleave_rows(memories)
-    hs = _stack_init(memories[-1], params.decoder_cell.depth)
-    prev = np.full(memories[0].shape[0], GO, dtype=np.int64)
-    logits_per_step: list[Tensor] = []
-    weights: list[Tensor] = []
+    Step 1 consumes the GO embedding. With ``targets`` [B, steps] step t+1
+    consumes target t (teacher forcing); without, it consumes the argmax of
+    step t's logits, and the loop stops once every row has emitted EOS.
+    Returns (logits per step, attention weights per step, argmax ids
+    [B, steps run]); only the logits carry gradients, and only with targets.
+    """
+    b, e = memories[0].shape
+    m_states = np.stack([t.data for t in memories], axis=1).reshape(b * len(memories), e)
+    emb, out_w, out_b = params.embedding, params.out_w, params.out_b
+    rec = _Recurrence(m_states, None, memories[-1].data, params.decoder_cell,
+                      params.decoder_attention, steps)
+    logits = np.empty((steps, b, out_w.shape[1]), rec.pre.dtype)
+    ids = np.empty((steps + 1, b), np.int64)  # row t: the ids step t consumes
+    ids[0] = GO
+    done = np.zeros(b, dtype=bool)
     for t in range(steps):
-        x = take_rows(params.embedding, prev)
-        out, hs, a, _ = attentive_cell_step(
-            x, hs, m_states, params.decoder_cell, params.decoder_attention,
-            None, len(memories))
-        logits_per_step.append(_decoder_logits(out, params))
-        weights.append(a)
-        prev = next_ids(t, logits_per_step[-1])
-        if prev is None:
+        np.matmul(rec.step(emb.data[ids[t]]), out_w.data, out=logits[t])
+        logits[t] += out_b.data
+        if targets is not None:
+            ids[t + 1] = targets[:, t]
+            continue
+        ids[t + 1] = logits[t].argmax(axis=1)
+        done |= ids[t + 1] == EOS
+        if done.all():
             break
-    return logits_per_step, weights
+    n = rec.n
+    _count_macs(b * n * e * out_w.shape[1])
+    rec.check("decoder_layer")
+    _finite(rec.h[1:n + 1, -1], "decoder_layer")
+    if targets is None:
+        _finite(logits[:n], "decoder_layer")
+        return None, rec.weights(), ids[1:n + 1].T
+
+    def back(*dlogits):
+        dl = np.stack([np.zeros((b, out_w.shape[1]), logits.dtype) if g is None else g
+                       for g in dlogits])
+        outs = rec.h[1:n + 1, -1]
+        da0, d_states, d_first, grads = rec.backward(dl @ out_w.data.T)
+        d_emb = np.zeros_like(emb.data)
+        np.add.at(d_emb, ids[:n].reshape(-1), (da0 @ rec.layers[0][0].T).reshape(-1, e))
+        d_mem = list(d_states.reshape(b, len(memories), e).transpose(1, 0, 2))
+        d_mem[-1] = d_mem[-1] + d_first
+        return (*d_mem, d_emb, *grads,
+                outs.reshape(-1, e).T @ dl.reshape(-1, dl.shape[2]), dl.sum(axis=(0, 1)))
+
+    inputs = (*memories, emb, *rec.params(), out_w, out_b)
+    return _emit_all(list(logits[:n]), "decoder_layer", inputs, back), rec.weights(), None
 
 
 def decode_teacher_forced(memories, targets, params: ModelParams):
-    """Gold tokens drive the decoder; one logit row per target position.
+    """Gold tokens drive the decoder (`decoder_layer`); one logit row per
+    target position.
 
     Step 1 consumes the GO embedding, step t+1 the embedding of target t.
     Returns (logits per step, attention weights per step).
@@ -356,25 +566,22 @@ def decode_teacher_forced(memories, targets, params: ModelParams):
     tgt = np.atleast_2d(np.asarray(targets, dtype=np.int64))
     if tgt.shape[1] == 0:
         raise ContractError("teacher-forced decoding needs at least one target position")
-    return _decode(memories, params, tgt.shape[1], lambda t, _: tgt[:, t])
+    if tgt.shape[0] != memories[0].shape[0]:
+        raise ShapeError(f"{tgt.shape[0]} target rows for {memories[0].shape[0]} memory rows")
+    if tgt.min() < 0 or tgt.max() >= params.embedding.shape[0]:
+        raise IndexError(f"target id outside vocabulary of size {params.embedding.shape[0]}")
+    logits, weights, _ = decoder_layer(memories, params, tgt.shape[1], tgt)
+    return logits, weights
 
 
 def decode_greedy(memories, params: ModelParams, config: ModelConfig):
-    """Free-running greedy decode; halts at EOS (all rows) or the length cap.
+    """Free-running greedy decode (`decoder_layer`); halts at EOS (all rows)
+    or the length cap.
 
     Returns (tokens [B, steps], attention weights per step).
     """
-    cap = config.max_answer_len + 1
-    done = np.zeros(memories[0].shape[0], dtype=bool)
-    steps: list[np.ndarray] = []
-
-    def argmax(_, logits):
-        steps.append(logits.data.argmax(axis=1).astype(np.int64))
-        done[:] |= steps[-1] == EOS
-        return None if done.all() else steps[-1]
-
-    _, weights = _decode(memories, params, cap, argmax)
-    return np.stack(steps, axis=1), weights
+    _, weights, tokens = decoder_layer(memories, params, config.max_answer_len + 1)
+    return tokens, weights
 
 
 def cut_at_eos(token_rows: np.ndarray) -> list[list[int]]:
@@ -559,10 +766,31 @@ def load_checkpoint(path) -> Checkpoint:
             config, vocab, arrays = _read_checkpoint(fh)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    params = init_params(config, seed=0, dtype=np.float32)
-    for name, a in _file_arrays(params):
-        a[...] = arrays[name]
-    return Checkpoint(params, config, vocab)
+    return Checkpoint(_params_from_file(arrays, config), config, vocab)
+
+
+def _params_from_file(arrays: dict, config: ModelConfig) -> ModelParams:
+    """`ModelParams` holding copies of the file's (checked) arrays, each GRU
+    cell's per-gate arrays joined gate-major (the inverse of `_file_arrays`)."""
+    def param(*names):
+        parts = [arrays[n] for n in names]
+        t = _wrap(np.concatenate(parts, axis=-1, dtype=np.float32) if len(parts) > 1
+                  else parts[0].astype(np.float32))
+        t.requires_grad = True
+        return t
+
+    def stack(prefix):
+        return StackSpec([GruParams(*(param(*(f"{prefix}.{i}.{n}{g}" for g in _GATES))
+                                      for n in "wub")) for i in range(config.depth)])
+
+    def attention(prefix):
+        return AttentionParams(*(param(f"{prefix}.{n}") for n in ("w1", "w2", "v", "proj")))
+
+    return ModelParams(
+        embedding=param("embedding"), **{s: stack(s) for s in _STACKS},
+        memory_attention=attention("memory_attention"),
+        decoder_attention=attention("decoder_attention"),
+        out_w=param("out_w"), out_b=param("out_b"))
 
 
 def _read_checkpoint(fh):

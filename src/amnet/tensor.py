@@ -87,11 +87,11 @@ class Tensor:
 
 
 class TapeNode:
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("inputs", "outputs", "backward_fn")
 
-    def __init__(self, inputs, output, backward_fn):
+    def __init__(self, inputs, outputs, backward_fn):
         self.inputs = inputs
-        self.output = output
+        self.outputs = outputs
         self.backward_fn = backward_fn
 
 
@@ -127,10 +127,10 @@ class Tape:
         self._used = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            g = node.output.grad
-            if g is None:
+            grads = [t.grad for t in node.outputs]
+            if all(g is None for g in grads):
                 continue
-            in_grads = node.backward_fn(g)
+            in_grads = node.backward_fn(*grads)
             for t, ig in zip(node.inputs, in_grads):
                 if ig is None:
                     continue
@@ -168,16 +168,30 @@ def _finite(arr: np.ndarray, op: str) -> None:
 
 
 def _emit(data: np.ndarray, op: str, inputs, backward_fn) -> Tensor:
-    _finite(data, op)
+    return _emit_all([data], op, inputs, backward_fn)[0]
+
+
+def _wrap(data: np.ndarray) -> Tensor:
+    """An array as a Tensor, unchecked and off the tape."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
     out.grad = None
+    return out
+
+
+def _emit_all(datas, op: str, inputs, backward_fn) -> list[Tensor]:
+    """Wrap checked arrays as the outputs of one op; on an active tape they
+    make one node, whose ``backward_fn`` gets one gradient per output, None
+    for an output no gradient reached."""
+    for data in datas:
+        _finite(data, op)
+    outs = [_wrap(data) for data in datas]
     if _TAPE_STACK:
         tape = _TAPE_STACK[-1]
-        tape.nodes.append(TapeNode(inputs, out, backward_fn))
-        tape._produced.add(id(out))
-    return out
+        tape.nodes.append(TapeNode(inputs, outs, backward_fn))
+        tape._produced.update(map(id, outs))
+    return outs
 
 
 def constant(data, dtype=None) -> Tensor:

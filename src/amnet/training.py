@@ -47,6 +47,8 @@ class TrainConfig:
             raise ConfigError("training settings must be positive and finite")
         if self.max_batches < 0:
             raise ConfigError("max_batches must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.target_val_error is not None and not 0 <= self.target_val_error <= 1:
             raise ConfigError(f"target_val_error must lie in [0, 1], got {self.target_val_error}")
         if self.eval_every % self.batch_size:

@@ -224,11 +224,20 @@ def _babi_with_support(tmp_path, support: str):
     return ["train", "--data-dir", str(tmp_path), "--task", "1", "--max-batches", "1"]
 
 
+def _negative_seed(tmp_path, command: str, task_flag: str):
+    write_task_files(tmp_path, 1, n_train=20, n_test=5, seed=0)
+    return [command, "--data-dir", str(tmp_path), task_flag, "1", "--seed", "-1"]
+
+
 @pytest.mark.parametrize("make_argv, where", [
     (lambda d: _checkpoint_with_size_line(d, b"size=x"), "size='x'"),
     (lambda d: _checkpoint_with_size_line(d, b"size=\xff"), "config line 1"),
     (lambda d: _babi_with_support(d, "foo"), "_train.txt:2:"),
-], ids=["config-value-not-int", "config-line-not-utf8", "babi-support-not-int"])
+    pytest.param(lambda d: _negative_seed(d, "train", "--task"), "seed must be >= 0, got -1",
+                 marks=pytest.mark.filterwarnings("ignore:expected 10,000 examples")),
+    (lambda d: _negative_seed(d, "reproduce", "--tasks"), "seed must be >= 0, got -1"),
+], ids=["config-value-not-int", "config-line-not-utf8", "babi-support-not-int",
+        "train-negative-seed", "reproduce-negative-seed"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, where):
     assert main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import struct
 
 import numpy as np
@@ -18,7 +19,10 @@ from amnet.model import (
     forward_example, init_params, load_checkpoint, memory_module,
     predict_batch, save_checkpoint,
 )
-from amnet.tensor import ContractError, MacCounter, Tape, Tensor, grad_check, take_rows
+from amnet.tensor import (
+    ContractError, MacCounter, MaskError, NumericError, ShapeError, Tape, Tensor, add,
+    grad_check, interleave_rows, matmul, mul, sum_all, take_rows,
+)
 
 
 def toy_config(**kw):
@@ -358,6 +362,160 @@ class TestDecoder:
         assert cut_at_eos(rows) == want
 
 
+def composed_memory(h_que, h_sen, mask, h_final, params, config):
+    """The memory module as composed tape ops, one `attentive_cell_step` per step."""
+    hs = [h_final] + [Tensor(np.zeros(h_final.shape)) for _ in range(config.depth - 1)]
+    k = h_sen.shape[0] // h_que.shape[0]
+    memories = []
+    for _ in range(config.memories):
+        out, hs, _, _ = attentive_cell_step(h_que, hs, h_sen, params.memory_cell,
+                                            params.memory_attention, mask, k)
+        memories.append(out)
+    return memories
+
+
+def composed_decoder(memories, targets, params, depth):
+    """Teacher-forced decoding as composed tape ops; returns the logits per step."""
+    m_states = interleave_rows(memories)
+    hs = [memories[-1]] + [Tensor(np.zeros(memories[-1].shape)) for _ in range(depth - 1)]
+    prev, logits = np.full(len(targets), GO), []
+    for t in range(targets.shape[1]):
+        x = take_rows(params.embedding, prev)
+        out, hs, _, _ = attentive_cell_step(x, hs, m_states, params.decoder_cell,
+                                            params.decoder_attention, None, len(memories))
+        logits.append(add(matmul(out, params.out_w), params.out_b))
+        prev = targets[:, t]
+    return logits
+
+
+def weighted_loss(tensors, weights):
+    total = None
+    for t, w in zip(tensors, weights):
+        term = sum_all(mul(t, Tensor(w)))
+        total = term if total is None else add(total, term)
+    return total
+
+
+def attentive_case(depth, m, b, steps, seed=0):
+    """Float64 parameters, question, sentence states (masked when B > 1),
+    targets and loss weights for the attentive-op tests."""
+    config = toy_config(size=5, depth=depth, memories=m, vocab_size=9)
+    params = init_params(config, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed + 1)
+    k = 4
+    state = lambda rows: Tensor(rng.normal(size=(rows, 5)), requires_grad=True)
+    h_que, h_sen, h_final = state(b), state(b * k), state(b)
+    mask = (np.arange(k) < np.array([k, 2, 1][:b])[:, None]).astype(float)
+    targets = rng.integers(0, 9, size=(b, steps))
+    weights = [rng.normal(size=(b, 5)) for _ in range(m)], [
+        rng.normal(size=(b, 9)) for _ in range(steps)]
+    return config, params, (h_que, h_sen, mask, h_final), targets, weights
+
+
+class TestAttentiveOps:
+    """`memory_layer` and `decoder_layer` against the composed-op reference."""
+
+    @pytest.mark.parametrize("depth, m, b, steps", [
+        (1, 1, 1, 1), (1, 3, 3, 2), (2, 1, 3, 3), (2, 3, 1, 3), (2, 3, 3, 1)])
+    def test_equal_to_composed_ops(self, depth, m, b, steps):
+        config, params, states, targets, (mw, lw) = attentive_case(depth, m, b, steps)
+        h_que, h_sen, _, h_final = states
+        inputs = [h_que, h_sen, h_final] + params.tensors()
+
+        def composed():
+            memories = composed_memory(*states, params, config)
+            return memories, composed_decoder(memories, targets, params, depth)
+
+        def fused():
+            memories = memory_module(*states, params, config)[0]
+            return memories, decode_teacher_forced(memories, targets, params)[0]
+
+        results = []
+        for run in (composed, fused):
+            for t in inputs:
+                t.grad = None
+            with Tape() as tape:
+                memories, logits = run()
+                loss = add(weighted_loss(memories, mw), weighted_loss(logits, lw))
+            tape.backward(loss)
+            results.append((loss.item(), [None if t.grad is None else t.grad.copy()
+                                          for t in inputs]))
+        (want, want_grads), (got, got_grads) = results
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        for a, g in zip(want_grads, got_grads):
+            assert (a is None) == (g is None)
+            if a is not None:
+                np.testing.assert_allclose(g, a, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("depth, m, b", itertools.product((1, 2), (1, 3), (1, 3)))
+    def test_memory_layer_grad_check(self, depth, m, b):
+        config, params, (h_que, h_sen, mask, h_final), _, (mw, _) = \
+            attentive_case(depth, m, b, 1, seed=depth + m + b)
+        tensors = [h_que, h_sen, h_final] + [t for name, t in params.named_parameters()
+                                             if name.startswith("memory")]
+        err = grad_check(lambda *_: weighted_loss(memory_module(
+            h_que, h_sen, mask, h_final, params, config)[0], mw), tensors)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("depth, m, b, steps",
+                             itertools.product((1, 2), (1, 3), (1, 3), (1, 2, 3)))
+    def test_decoder_layer_grad_check(self, depth, m, b, steps):
+        config, params, _, targets, (_, lw) = attentive_case(depth, m, b, steps, seed=depth + m)
+        rng = np.random.default_rng(steps)
+        memories = [Tensor(rng.normal(size=(b, 5)), requires_grad=True) for _ in range(m)]
+        tensors = memories + [params.embedding, params.out_w, params.out_b] + [
+            t for name, t in params.named_parameters() if name.startswith("decoder")]
+        err = grad_check(lambda *_: weighted_loss(
+            decode_teacher_forced(memories, targets, params)[0], lw), tensors)
+        assert err < 1e-4
+
+    def test_each_op_records_one_node(self, setup):
+        _, params, rng = setup
+        config = toy_config(memories=3)
+        batch = make_batch([toy_example(rng, n_sent=4, ans_len=2)])
+        h_que = encode_question(batch.question, batch.question_mask, params, config)
+        h_sen, h_final, _ = read_document(batch, h_que, params, config)
+        with Tape() as tape:
+            memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask, h_final,
+                                           params, config)
+            assert len(tape.nodes) == 1 and len(memories) == 3
+            logits, _ = decode_teacher_forced(memories, batch.answer, params)
+        assert len(tape.nodes) == 2 and len(logits) == 3
+
+    def test_task1_shaped_batch_records_21_nodes(self):
+        # question 3, document 9, memory 1, decoder 1, loss 7 (2 decoder steps)
+        config = toy_config(size=32, memories=1, vocab_size=14, max_answer_len=1)
+        params = init_params(config, seed=0)
+        rng = np.random.default_rng(5)
+        batch = make_batch([toy_example(rng, n_sent=n, sent_len=6, q_len=3, ans_len=1)
+                            for n in (2, 7, 4, 10, 5)])
+        with Tape() as tape:
+            forward_batch(batch, params, config, training=True)
+        assert len(tape.nodes) == 21
+
+    def test_story_row_without_live_state_rejected(self, setup):
+        config, params, rng = setup
+        h_que = Tensor(rng.normal(size=(2, 6)))
+        h_sen = Tensor(rng.normal(size=(6, 6)))
+        with pytest.raises(MaskError):
+            memory_module(h_que, h_sen, np.array([[1, 1, 0], [0, 0, 0]]), h_que, params, config)
+        with pytest.raises(ShapeError):
+            memory_module(h_que, h_sen, np.ones((2, 2)), h_que, params, config)
+
+    def test_non_finite_pre_activation_names_the_op(self, setup):
+        config, params, rng = setup
+        batch = make_batch([toy_example(rng, n_sent=3)])
+        h_que = encode_question(batch.question, batch.question_mask, params, config)
+        h_sen, h_final, _ = read_document(batch, h_que, params, config)
+        params.memory_attention.w1.data[0, 0] = np.inf
+        with pytest.raises(NumericError, match="memory_layer"):
+            memory_module(h_que, h_sen, batch.sentence_mask, h_final, params, config)
+        memories = [h_final]
+        params.decoder_cell.layers[0].b.data[0] = np.inf
+        with pytest.raises(NumericError, match="decoder_layer"):
+            decode_greedy(memories, params, config)
+
+
 class TestForward:
     def test_loss_nonnegative_and_records_normalized(self, setup):
         config, params, rng = setup
@@ -520,6 +678,19 @@ class TestCheckpoint:
                                      ckpt.params.named_parameters()):
             assert a.data.dtype == b.data.dtype == np.float32
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_load_builds_the_file_arrays_without_a_random_model(self, tmp_path, monkeypatch):
+        config = toy_config(depth=2)
+        params = init_params(config, seed=7)
+        path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+        save_checkpoint(params, config, path)
+        monkeypatch.setattr(model_module, "init_params", None)  # load must not call it
+        loaded = load_checkpoint(path).params
+        for (name, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
+            assert b.data.tobytes() == a.data.tobytes() and b.data.dtype == np.float32, name
+            assert b.requires_grad and b.data.flags.writeable and b.data.flags.c_contiguous
+        save_checkpoint(loaded, config, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_corrupted_magic(self, setup, tmp_path):
         config = toy_config()
