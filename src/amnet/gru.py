@@ -11,9 +11,15 @@ Padding: a mask marks each row's real steps, which precede its padding.
 last real step, and feed the reversed direction its real steps last to
 first, then its padding; states at padded steps are not meaningful.
 
-Arithmetic: a gate is sig(a) = (1 + tanh(a/2))/2 and the update is
-h + z*(h~ - h), in place. So z near 0 has absolute, not relative, float32
-precision (about 3e-8), which is all the update needs.
+Arithmetic, the one GRU cell of the package (`amnet.model`'s attentive
+steps run it too): W, U and b hold the gates z, r and h~ side by side (W_z
+the z columns of W, and so on), and a step from state h on input x is
+    z = sig(xW_z + hU_z + b_z);  r = sig(xW_r + hU_r + b_r);
+    h~ = tanh(xW_h + (r*h)U_h + b_h);  h = h + z*(h~ - h), in place,
+with sig(a) = (1 + tanh(a/2))/2: the z | r pre-activations and U_z | U_r are
+halved (exactly) first, and z near 0 has absolute float32 precision (about
+3e-8), all the update needs. `_cell_steps` runs n steps, `_cell_step_back`
+is one BPTT step and `_u_grad` the gradient of U.
 """
 
 from __future__ import annotations
@@ -112,12 +118,9 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
     [B, d]. Returns the state after every step, in the layout of ``x``;
     every step of every row is computed, in the order given. A second cell
     ``rev`` runs in the same loop on its own input columns and states
-    (``x`` [B*n, 2*d_in], ``h0`` [B, 2d], out [B*n, 2d]). Per step, W_z
-    being the z columns of ``p.w`` and so on:
-    z = sig(xW_z + hU_z + b_z); r = sig(xW_r + hU_r + b_r);
-    h~ = tanh(xW_h + (r*h)U_h + b_h); h = h + z*(h~ - h), where sig(a) =
-    (1 + tanh(a/2))/2 (z near 0 is exact to about 3e-8 absolute in float32).
-    One matmul projects the inputs of all steps; the backward is BPTT.
+    (``x`` [B*n, 2*d_in], ``h0`` [B, 2d], out [B*n, 2d]). A step is the
+    module's "Arithmetic"; one matmul projects the inputs of all steps, and
+    the backward is BPTT.
     """
     cells = (p,) if rev is None else (p, rev)
     k, d_in, d = len(cells), p.d_in, p.d
@@ -140,19 +143,52 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
     dtype = np.result_type(xp, h0.data, u_zr)
     # analysis.gru_step_macs per step, row and cell; zero blocks are not counted
     _count_macs(k * batch * n * 3 * (d_in * d + d * d + d))
-    # step-major [n, B, .] working arrays, so each step is one contiguous
-    # block; the loop adds the recurrent terms to the pre-activations in
-    # place. Gate columns and U_z|U_r are halved (exactly) for sig's tanh form
+    # step-major [n, B, .] working arrays, so each step is one contiguous block
     pre = xp.reshape(batch, n, 3 * dd).transpose(1, 0, 2).astype(dtype, order="C")
-    pre[:, :, :2 * dd] *= 0.5
-    half_u_zr = u_zr * 0.5
     zr = np.empty((n, batch, 2 * dd), dtype)   # gates z | r
     cand = np.empty((n, batch, dd), dtype)     # h~
     rh = np.empty((n, batch, dd), dtype)       # r * h, the input of U_h
     hs = np.empty((n, batch, dd), dtype)       # state after each step
+    _cell_steps(pre, h0.data, u_zr * 0.5, u_h, zr, rh, cand, hs)
+    # pre holds every pre-activation (tanh maps finite to finite); _emit checks the states
+    _finite(pre, "gru_layer")
+
+    def back(g):
+        gs = g.reshape(batch, n, dd).transpose(1, 0, 2)
+        prev = np.concatenate([h0.data.astype(dtype)[None], hs[:-1]])
+        da = np.empty((n, batch, 3 * dd), dtype)
+        dh = np.zeros((batch, dd), dtype)
+        for t in range(n - 1, -1, -1):
+            dh = _cell_step_back(dh + gs[t], zr[t], cand[t], prev[t], u_zr, u_h, da[t])
+        # gradients of the W, U and b computed with; a pair's are each cell's blocks of them
+        da_x = da.transpose(1, 0, 2).reshape(rows, 3 * dd)
+        grads = [x.data.T @ da_x, _u_grad(prev, rh, da), da_x.sum(axis=0)]
+        if rev is not None:
+            grads = [a.reshape(g, -1, 3, 2, d)[j % g, :, :, j].reshape(t.shape)
+                     for j in (0, 1) for a, g, t in zip(grads, (2, 2, 1), params[3 * j:])]
+        return (da_x @ w.T, dh, *grads)
+
+    params = [t for c in cells for _, t in c.named()]
+    states = hs.transpose(1, 0, 2).reshape(rows, dd)  # batch-major copy
+    return _emit(states, "gru_layer", (x, h0, *params), back)
+
+
+def _cell_steps(pre, h0, half_u_zr, u_h, zr, rh, cand, hs) -> None:
+    """The forward of n steps of one GRU cell (or a pair's interleaved
+    cells) over B rows, in place over step-major [n, B, .] arrays.
+
+    ``pre`` [n, B, 3d] holds each step's input projection xW + b and is left
+    holding its pre-activations, the z | r columns halved; ``h0`` [B, d] is
+    the state before step 0 and ``half_u_zr`` is U_z | U_r times 0.5 (a
+    caller that runs many calls halves it once). Fills the gates ``zr``
+    [n, B, 2d], ``rh`` = r*h, ``cand`` = h~ and the states ``hs``.
+    """
+    (_, batch, dd), dtype = hs.shape, hs.dtype
+    pre_zr = pre[:, :, :2 * dd]
+    pre_zr *= 0.5  # exact: sig(a) = (1 + tanh(a/2))/2
     hu, hh = np.empty((batch, 2 * dd), dtype), np.empty((batch, dd), dtype)
-    for a_zr, a_h, zr_t, z, r, rh_t, c, h, h_t in zip(pre[:, :, :2 * dd], pre[:, :, 2 * dd:],
-            zr, zr[:, :, :dd], zr[:, :, dd:], rh, cand, [h0.data, *hs], hs):  # h: prev state
+    for a_zr, a_h, zr_t, z, r, rh_t, c, h, h_t in zip(pre_zr, pre[:, :, 2 * dd:],
+            zr, zr[:, :, :dd], zr[:, :, dd:], rh, cand, [h0, *hs], hs):  # h: prev state
         a_zr += np.matmul(h, half_u_zr, out=hu)
         np.tanh(a_zr, out=zr_t)
         zr_t += 1.0
@@ -162,39 +198,30 @@ def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None)
         np.subtract(np.tanh(a_h, out=c), h, out=h_t)
         h_t *= z
         h_t += h
-    # pre holds every pre-activation (tanh maps finite to finite); _emit checks the states
-    _finite(pre, "gru_layer")
 
-    def back(g):
-        gs = g.reshape(batch, n, dd).transpose(1, 0, 2)
-        prev = np.concatenate([h0.data.astype(dtype)[None], hs[:-1]])
-        omz = 1.0 - zr[:, :, :dd]
-        da = np.empty((n, batch, 3 * dd), dtype)
-        dh = np.zeros((batch, dd), dtype)
-        for t in range(n - 1, -1, -1):
-            dh = dh + gs[t]
-            da_zr, da_h = da[t, :, :2 * dd], da[t, :, 2 * dd:]
-            c = cand[t]
-            np.multiply(dh * zr[t, :, :dd], 1.0 - c * c, out=da_h)
-            drh = da_h @ u_h.T
-            np.multiply(dh, c - prev[t], out=da_zr[:, :dd])
-            np.multiply(drh, prev[t], out=da_zr[:, dd:])
-            da_zr *= zr[t] * (1.0 - zr[t])
-            dh = dh * omz[t] + drh * zr[t, :, dd:] + da_zr @ u_zr.T
-        # gradients of the W, U and b computed with; a pair's are each cell's blocks of them
-        da_x = da.transpose(1, 0, 2).reshape(rows, 3 * dd)
-        flat = da.reshape(n * batch, 3 * dd)
-        du = np.concatenate([prev.reshape(-1, dd).T @ flat[:, :2 * dd],
-                             rh.reshape(-1, dd).T @ flat[:, 2 * dd:]], axis=1)
-        grads = [x.data.T @ da_x, du, da_x.sum(axis=0)]
-        if rev is not None:
-            grads = [a.reshape(g, -1, 3, 2, d)[j % g, :, :, j].reshape(t.shape)
-                     for j in (0, 1) for a, g, t in zip(grads, (2, 2, 1), params[3 * j:])]
-        return (da_x @ w.T, dh, *grads)
 
-    params = [t for c in cells for _, t in c.named()]
-    states = hs.transpose(1, 0, 2).reshape(rows, dd)  # batch-major copy
-    return _emit(states, "gru_layer", (x, h0, *params), back)
+def _cell_step_back(dh, zr, cand, prev, u_zr, u_h, da):
+    """One BPTT step of `_cell_steps`: from the gradient ``dh`` [B, d] of a
+    step's state, its gates ``zr``, candidate ``cand`` and previous state
+    ``prev``, writes the gradient of its pre-activations (unhalved) into
+    ``da`` [B, 3d] and returns the gradient of ``prev``."""
+    d = prev.shape[1]
+    da_zr, da_h = da[:, :2 * d], da[:, 2 * d:]
+    np.multiply(dh * zr[:, :d], 1.0 - cand * cand, out=da_h)
+    drh = da_h @ u_h.T
+    np.multiply(dh, cand - prev, out=da_zr[:, :d])
+    np.multiply(drh, prev, out=da_zr[:, d:])
+    da_zr *= zr * (1.0 - zr)
+    return dh * (1.0 - zr[:, :d]) + drh * zr[:, d:] + da_zr @ u_zr.T
+
+
+def _u_grad(prev, rh, da):
+    """The gradient of U, [h | r*h]^T da, over every step's previous states
+    ``prev``, ``rh`` and pre-activation gradients ``da`` (rows in one order)."""
+    d = prev.shape[-1]
+    flat = da.reshape(-1, 3 * d)
+    return np.concatenate([prev.reshape(-1, d).T @ flat[:, :2 * d],
+                           rh.reshape(-1, d).T @ flat[:, 2 * d:]], axis=1)
 
 
 def _pair_blocks(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:

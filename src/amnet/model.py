@@ -11,10 +11,11 @@ and projects each state onto the vocabulary.
 All attention sites share one additive form: score each state against
 the query through a tanh bottleneck, softmax, mix, then project the
 concatenated context and candidate state back to width e. The memory
-module and the decoder are each one tape op (`memory_layer`,
-`decoder_layer`) whose forward is plain numpy that projects the attention
-keys once per call and whose backward is BPTT. One embedding matrix
-serves question, document and answer tokens.
+module and the decoder are each one tape op (`memory_module`,
+`_decoder_layer`) whose forward is plain numpy that projects the attention
+keys once per call and whose backward is BPTT; their GRU cell is the
+kernels of `amnet.gru` (its "Arithmetic"). One embedding matrix serves
+question, document and answer tokens.
 
 Everything is batch-first ([B, e] states); single-example calls use B=1.
 Sentence states for a batch live in one [B*S, e] tensor, row b*S+s
@@ -31,7 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from amnet.data import EOS, GO, DataError, Vocabulary, make_batch
-from amnet.gru import ConfigError, GruParams, StackSpec, gru_step, run_bidirectional, run_sequence
+from amnet.gru import (
+    ConfigError, GruParams, StackSpec, _cell_step_back, _cell_steps, _u_grad, gru_step,
+    run_bidirectional, run_sequence,
+)
 from amnet.tensor import (
     ContractError, MaskError, ShapeError, Tensor, _count_macs, _emit_all, _finite, _wrap, add,
     concat_cols, constant, cross_entropy_rows, matmul, mix_rows, mul, repeat_rows,
@@ -42,8 +46,8 @@ __all__ = [
     "AttentionParams", "AttentionRecord", "Checkpoint", "CheckpointError",
     "ForwardResult", "ModelConfig", "ModelParams", "attend",
     "attentive_cell_step", "decode_greedy", "decode_teacher_forced",
-    "decoder_layer", "encode_document", "encode_question", "forward_batch",
-    "forward_example", "init_params", "load_checkpoint", "memory_layer", "memory_module",
+    "encode_document", "encode_question", "forward_batch",
+    "forward_example", "init_params", "load_checkpoint", "memory_module",
     "save_checkpoint",
 ]
 
@@ -175,8 +179,8 @@ class AttentionRecord:
 def attend(query: Tensor, states: Tensor, params: AttentionParams,
            mask=None, k: int | None = None):
     """Additive attention of ``query`` [B, e] over ``states`` [B*k, e], as
-    composed tape ops (the model runs it inside `memory_layer` and
-    `decoder_layer`, which compute the same values).
+    composed tape ops (the model runs it inside `memory_module` and
+    `_decoder_layer`, which compute the same values).
 
     Returns (context [B, e], weights [B, k]). ``mask`` ([B, k]) hides
     padded states; with B=1 this is plain attention over k state rows.
@@ -203,7 +207,7 @@ def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
                         att: AttentionParams, mask=None, k: int | None = None):
     """One attentive recurrent step: candidate = gru(x, h); attend with the
     candidate as query; output = proj(context || candidate). Composed tape
-    ops: the reference for a step of `memory_layer` and `decoder_layer`.
+    ops: the reference for a step of `memory_module` and `_decoder_layer`.
 
     ``h_prev`` is a [B, e] tensor (depth 1) or a per-layer list. Returns
     (output, new_states, weights, context); the output replaces the top
@@ -302,9 +306,11 @@ class _Recurrence:
     [B*k, e]: per step, the cell stack's top state is the candidate, which
     queries additive attention over the states, and proj(context ||
     candidate) becomes the output and the top layer's carried state. The
-    keys ``states @ W1`` are projected once. Working arrays are step-major,
-    sized for at most ``steps`` steps; `step` runs one, `backward` is BPTT
-    over the steps run."""
+    keys ``states @ W1`` are projected once. The cell is `amnet.gru`'s
+    "Arithmetic": per step and layer one `_cell_steps` call with n = 1, and
+    one `_cell_step_back` call back.
+    Working arrays are step-major, sized for at most ``steps`` steps; `step`
+    runs one, `backward` is BPTT over the steps run."""
 
     def __init__(self, states: np.ndarray, mask, first: np.ndarray, cell: StackSpec,
                  att: AttentionParams, steps: int):
@@ -327,7 +333,7 @@ class _Recurrence:
         self.cell, self.att, self.states = cell, att, states
         self.s3 = states.reshape(b, k, e)
         self.keys = (states @ att.w1.data).reshape(b, k, e)
-        # per layer: W, b, U_z|U_r, U_h, and U_z|U_r halved for sig's tanh form
+        # per layer: W, b, U_z|U_r, U_h, and U_z|U_r halved as `_cell_steps` takes it
         self.layers = [(p.w.data, p.b.data, p.u.data[:, :2 * d], p.u.data[:, 2 * d:],
                         p.u.data[:, :2 * d] * 0.5) for p in cell.layers]
         dt = np.result_type(states, first, att.w1.data, *self.layers[0])
@@ -346,24 +352,14 @@ class _Recurrence:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One step on input ``x`` [B, d_in]; returns the output [B, e]."""
-        t, d, e, top = self.n, self.e, self.e, self.depth - 1
+        t, e, top = self.n, self.e, self.depth - 1
         self.x.append(x)
         for li, (w, bias, _, u_h, half_u_zr) in enumerate(self.layers):
-            h, zr, rh = self.h[t, li], self.zr[t, li], self.rh[t, li]
             pre = np.matmul(x, w, out=self.pre[t, li])
             pre += bias
-            a_zr, a_h = pre[:, :2 * d], pre[:, 2 * d:]
-            a_zr *= 0.5  # sig(a) = (1 + tanh(a/2))/2, as in gru_layer
-            a_zr += h @ half_u_zr
-            np.tanh(a_zr, out=zr)
-            zr += 1.0
-            zr *= 0.5
-            np.multiply(zr[:, d:], h, out=rh)
-            a_h += rh @ u_h
             x = self.cat[t, :, e:] if li == top else self.h[t + 1, li]
-            np.subtract(np.tanh(a_h, out=self.cand[t, li]), h, out=x)
-            x *= zr[:, :d]
-            x += h
+            _cell_steps(pre[None], self.h[t, li], half_u_zr, u_h, self.zr[t:t + 1, li],
+                        self.rh[t:t + 1, li], self.cand[t:t + 1, li], x[None])
         # additive attention with the candidate x as query, then the projection
         a = np.add(self.keys, (x @ self.att.w2.data)[:, None, :], out=self.att_pre[t])
         th = np.tanh(a, out=self.tanh[t])
@@ -429,28 +425,20 @@ class _Recurrence:
             np.sum(d_att[t], axis=1, out=d_q[t])
             dh = dcat[:, e:] + d_q[t] @ w2.T
             for li in range(top, -1, -1):
-                _, _, u_zr, u_h, _ = self.layers[li]
+                w, _, u_zr, u_h, _ = self.layers[li]
                 if li < top:
                     dh = dx + carry[li]
-                zr, c, prev, da_t = self.zr[t, li], self.cand[t, li], self.h[t, li], da[t, li]
-                da_zr, da_h = da_t[:, :2 * d], da_t[:, 2 * d:]
-                np.multiply(dh * zr[:, :d], 1.0 - c * c, out=da_h)
-                drh = da_h @ u_h.T
-                np.multiply(dh, c - prev, out=da_zr[:, :d])
-                np.multiply(drh, prev, out=da_zr[:, d:])
-                da_zr *= zr * (1.0 - zr)
-                carry[li] = dh * (1.0 - zr[:, :d]) + drh * zr[:, d:] + da_zr @ u_zr.T
+                carry[li] = _cell_step_back(dh, self.zr[t, li], self.cand[t, li],
+                                            self.h[t, li], u_zr, u_h, da[t, li])
                 if li:
-                    dx = da_t @ self.layers[li][0].T
+                    dx = da[t, li] @ w.T
         # weight gradients: one product over all steps each
         grads = []
         for li, (w, *_) in enumerate(self.layers):
             x = np.stack(self.x) if li == 0 else self.h[1:n + 1, li - 1]
             flat = da[:, li].reshape(-1, 3 * d)
             grads += [x.reshape(-1, w.shape[0]).T @ flat,
-                      np.concatenate([self.h[:n, li].reshape(-1, d).T @ flat[:, :2 * d],
-                                      self.rh[:n, li].reshape(-1, d).T @ flat[:, 2 * d:]], axis=1),
-                      flat.sum(axis=0)]
+                      _u_grad(self.h[:n, li], self.rh[:n, li], flat), flat.sum(axis=0)]
         d_keys = d_att.sum(axis=0).reshape(b * k, e)
         grads += [self.states.T @ d_keys,
                   self.cat[:n, :, e:].reshape(-1, e).T @ d_q.reshape(-1, e),
@@ -460,22 +448,25 @@ class _Recurrence:
         return da[:, 0], d_states, carry[0], grads
 
 
-def memory_layer(query: Tensor, states: Tensor, mask, first: Tensor, cell: StackSpec,
-                 att: AttentionParams, steps: int):
-    """``steps`` attentive steps over ``states`` [B*k, e] (``mask`` None or
-    [B, k]), each fed ``query`` [B, e], the cell starting from ``first``
-    [B, e] (upper layers from 0): one tape op.
+def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
+                  params: ModelParams, config: ModelConfig):
+    """``config.memories`` attentive steps over the sentence states ``h_sen``
+    [B*k, e] (``sentence_mask`` None or [B, k]), each fed the question state
+    ``h_que`` [B, e]: one tape op.
 
-    Returns (outputs, weights, contexts): per step the output [B, e], the
-    attention weights [B, k] and the context [B, e]; only the outputs carry
-    gradients.
+    The cell starts from the document encoding (m_0 = h_sen_final; upper
+    layers from 0). Returns (memories, weights, contexts): per step the
+    state [B, e], the attention weights [B, k] and the context [B, e]; only
+    the memories carry gradients.
     """
-    if query.shape != first.shape or query.shape[1] != cell.layers[0].d_in:
-        raise ShapeError(f"memory query {query.shape} and start {first.shape} "
+    cell = params.memory_cell
+    if h_que.shape != h_sen_final.shape or h_que.shape[1] != cell.layers[0].d_in:
+        raise ShapeError(f"memory query {h_que.shape} and start {h_sen_final.shape} "
                          f"for a {cell.layers[0].d_in}-input cell")
-    rec = _Recurrence(states.data, mask, first.data, cell, att, steps)
-    for _ in range(steps):
-        rec.step(query.data)
+    rec = _Recurrence(h_sen.data, sentence_mask, h_sen_final.data, cell,
+                      params.memory_attention, config.memories)
+    for _ in range(config.memories):
+        rec.step(h_que.data)
     rec.check("memory_layer")
 
     def back(*douts):
@@ -483,24 +474,11 @@ def memory_layer(query: Tensor, states: Tensor, mask, first: Tensor, cell: Stack
         # the query is every step's input: one product for all steps
         return (da0.sum(axis=0) @ rec.layers[0][0].T, d_states, d_first, *grads)
 
-    outs = _emit_all(rec.outputs(), "memory_layer", (query, states, first, *rec.params()), back)
-    return outs, rec.weights(), rec.contexts()
+    inputs = (h_que, h_sen, h_sen_final, *rec.params())
+    return _emit_all(rec.outputs(), "memory_layer", inputs, back), rec.weights(), rec.contexts()
 
 
-def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
-                  params: ModelParams, config: ModelConfig):
-    """``config.memories`` attentive steps over the sentence states, fed the
-    question state (`memory_layer`).
-
-    The cell starts from the document encoding (m_0 = h_sen_final).
-    Returns (memories, weights, contexts): one state tensor [B, e] per step
-    plus the per-step attention rows and context vectors.
-    """
-    return memory_layer(h_que, h_sen, sentence_mask, h_sen_final, params.memory_cell,
-                        params.memory_attention, config.memories)
-
-
-def decoder_layer(memories, params: ModelParams, steps: int, targets=None):
+def _decoder_layer(memories, params: ModelParams, steps: int, targets=None):
     """The decoder's step loop as one tape op: attentive steps over the
     memories, interleaved as [B*m, e], from the last memory, each output
     projected onto the vocabulary.
@@ -555,7 +533,7 @@ def decoder_layer(memories, params: ModelParams, steps: int, targets=None):
 
 
 def decode_teacher_forced(memories, targets, params: ModelParams):
-    """Gold tokens drive the decoder (`decoder_layer`); one logit row per
+    """Gold tokens drive the decoder (`_decoder_layer`); one logit row per
     target position.
 
     Step 1 consumes the GO embedding, step t+1 the embedding of target t.
@@ -570,17 +548,17 @@ def decode_teacher_forced(memories, targets, params: ModelParams):
         raise ShapeError(f"{tgt.shape[0]} target rows for {memories[0].shape[0]} memory rows")
     if tgt.min() < 0 or tgt.max() >= params.embedding.shape[0]:
         raise IndexError(f"target id outside vocabulary of size {params.embedding.shape[0]}")
-    logits, weights, _ = decoder_layer(memories, params, tgt.shape[1], tgt)
+    logits, weights, _ = _decoder_layer(memories, params, tgt.shape[1], tgt)
     return logits, weights
 
 
 def decode_greedy(memories, params: ModelParams, config: ModelConfig):
-    """Free-running greedy decode (`decoder_layer`); halts at EOS (all rows)
+    """Free-running greedy decode (`_decoder_layer`); halts at EOS (all rows)
     or the length cap.
 
     Returns (tokens [B, steps], attention weights per step).
     """
-    _, weights, tokens = decoder_layer(memories, params, config.max_answer_len + 1)
+    _, weights, tokens = _decoder_layer(memories, params, config.max_answer_len + 1)
     return tokens, weights
 
 

@@ -10,6 +10,8 @@ distribution files are accepted by this package's parser unchanged.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 __all__ = ["generate_task", "write_task_files", "GENERATED_TASKS"]
@@ -22,33 +24,27 @@ RELATIONS = ("north", "south", "east", "west")
 GENERATED_TASKS = (1, 4, 12)
 
 
-def _movement(rng: np.random.Generator, subject: str, current: str | None) -> tuple[str, str]:
-    """One movement statement; returns (sentence, new location)."""
-    options = [loc for loc in LOCATIONS if loc != current]
-    loc = options[rng.integers(len(options))]
-    verb = VERBS[rng.integers(len(VERBS))]
-    back = " back" if current is not None and rng.uniform() < 0.3 else ""
-    return f"{subject} {verb}{back} to the {loc}.", loc
-
-
-def _task1_story(rng: np.random.Generator) -> list[str]:
-    """One story: 5 questions, each after 2 fresh statements (15 lines)."""
-    lines = []
+def _movement_story(rng: np.random.Generator, together: bool) -> list[str]:
+    """One story of task 1, or with ``together`` task 12: 5 questions, each
+    after 2 fresh statements (15 lines). A statement moves one actor, or a
+    pair of actors together, to a place none of them is at."""
+    lines: list[str] = []
     where: dict[str, str] = {}
     last_line: dict[str, int] = {}
-    n = 0
     for _ in range(5):
         for _ in range(2):
-            actor = ACTORS[rng.integers(len(ACTORS))]
-            sentence, loc = _movement(rng, actor, where.get(actor))
-            where[actor] = loc
-            n += 1
-            last_line[actor] = n
-            lines.append(f"{n} {sentence}")
-        moved = sorted(where)
-        target = moved[rng.integers(len(moved))]
-        n += 1
-        lines.append(f"{n} Where is {target}? \t{where[target]}\t{last_line[target]}")
+            movers = ([ACTORS[i] for i in rng.choice(len(ACTORS), size=2, replace=False)]
+                      if together else [ACTORS[rng.integers(len(ACTORS))]])
+            options = [loc for loc in LOCATIONS if loc not in {where.get(a) for a in movers}]
+            loc = options[rng.integers(len(options))]
+            verb = VERBS[rng.integers(len(VERBS))]
+            back = " back" if movers[0] in where and rng.uniform() < 0.3 else ""
+            lines.append(f"{len(lines) + 1} {' and '.join(movers)} {verb}{back} to the {loc}.")
+            for actor in movers:
+                where[actor] = loc
+                last_line[actor] = len(lines)
+        target = sorted(where)[rng.integers(len(where))]
+        lines.append(f"{len(lines) + 1} Where is {target}? \t{where[target]}\t{last_line[target]}")
     return lines
 
 
@@ -73,34 +69,8 @@ def _task4_story(rng: np.random.Generator) -> list[str]:
     return lines
 
 
-def _task12_story(rng: np.random.Generator) -> list[str]:
-    """Like task 1 but every statement moves a pair of actors together."""
-    lines = []
-    where: dict[str, str] = {}
-    last_line: dict[str, int] = {}
-    n = 0
-    for _ in range(5):
-        for _ in range(2):
-            i, j = rng.choice(len(ACTORS), size=2, replace=False)
-            pair = (ACTORS[i], ACTORS[j])
-            options = [loc for loc in LOCATIONS
-                       if loc != where.get(pair[0]) and loc != where.get(pair[1])]
-            loc = options[rng.integers(len(options))]
-            verb = VERBS[rng.integers(len(VERBS))]
-            back = " back" if pair[0] in where and rng.uniform() < 0.3 else ""
-            n += 1
-            lines.append(f"{n} {pair[0]} and {pair[1]} {verb}{back} to the {loc}.")
-            for actor in pair:
-                where[actor] = loc
-                last_line[actor] = n
-        moved = sorted(where)
-        target = moved[rng.integers(len(moved))]
-        n += 1
-        lines.append(f"{n} Where is {target}? \t{where[target]}\t{last_line[target]}")
-    return lines
-
-
-_STORY_BUILDERS = {1: (_task1_story, 5), 4: (_task4_story, 1), 12: (_task12_story, 5)}
+_STORY_BUILDERS = {1: (partial(_movement_story, together=False), 5), 4: (_task4_story, 1),
+                   12: (partial(_movement_story, together=True), 5)}
 
 
 def generate_task(task: int, n_questions: int, seed: int = 0) -> list[str]:

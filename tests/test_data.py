@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -255,6 +256,20 @@ class TestSyntheticGenerator:
     def test_deterministic(self):
         assert generate_task(1, 10, seed=9) == generate_task(1, 10, seed=9)
         assert generate_task(1, 10, seed=9) != generate_task(1, 10, seed=10)
+
+    # the bytes of write_task_files(..., seed=0), the acceptance runs' data:
+    # 10,000 training questions at seed 0 and 1,000 test questions at seed 1
+    @pytest.mark.parametrize("task, n, seed, digest", [
+        (1, 10_000, 0, "45882db0273e4e1ee47a67f0bddc1ffa285e58ecc1f8129f824e78d183ca01a3"),
+        (4, 10_000, 0, "a3ae65cd5d803da2f837049070241f1122046cb61504cc958623477a7cf0a4b2"),
+        (12, 10_000, 0, "8b0e10e7e90d05dce5b5d8648d5fe6bba522e889e54460f0346edd5575da0b33"),
+        (1, 1_000, 1, "0ec770a58b919d1315fcb6fb97327518508b643f2d3cbd381f889b8d59125a93"),
+        (4, 1_000, 1, "01c35543e31024b5dcf518fbe47f34e2a4a6c4120d35708a6dd968919964921f"),
+        (12, 1_000, 1, "11b98187f5a0167122f0e0159a4531e7b1348d01952aee7f86d0733a20a48a34"),
+    ])
+    def test_output_bytes_are_pinned(self, task, n, seed, digest):
+        text = "\n".join(generate_task(task, n, seed))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_task1_answer_is_latest_location(self, tmp_path):
         train, _ = write_task_files(tmp_path, 1, n_train=500, n_test=5, seed=11)

@@ -363,21 +363,24 @@ class TestDecoder:
 
 
 def composed_memory(h_que, h_sen, mask, h_final, params, config):
-    """The memory module as composed tape ops, one `attentive_cell_step` per step."""
-    hs = [h_final] + [Tensor(np.zeros(h_final.shape)) for _ in range(config.depth - 1)]
+    """The memory module as composed tape ops, one `attentive_cell_step` per
+    step; returns (memories, weights, contexts) as `memory_module` does."""
+    hs = [h_final] + [Tensor(np.zeros_like(h_final.data)) for _ in range(config.depth - 1)]
     k = h_sen.shape[0] // h_que.shape[0]
-    memories = []
+    memories, weights, contexts = [], [], []
     for _ in range(config.memories):
-        out, hs, _, _ = attentive_cell_step(h_que, hs, h_sen, params.memory_cell,
-                                            params.memory_attention, mask, k)
+        out, hs, w, context = attentive_cell_step(h_que, hs, h_sen, params.memory_cell,
+                                                  params.memory_attention, mask, k)
         memories.append(out)
-    return memories
+        weights.append(w)
+        contexts.append(context)
+    return memories, weights, contexts
 
 
 def composed_decoder(memories, targets, params, depth):
     """Teacher-forced decoding as composed tape ops; returns the logits per step."""
     m_states = interleave_rows(memories)
-    hs = [memories[-1]] + [Tensor(np.zeros(memories[-1].shape)) for _ in range(depth - 1)]
+    hs = [memories[-1]] + [Tensor(np.zeros_like(memories[-1].data)) for _ in range(depth - 1)]
     prev, logits = np.full(len(targets), GO), []
     for t in range(targets.shape[1]):
         x = take_rows(params.embedding, prev)
@@ -396,14 +399,14 @@ def weighted_loss(tensors, weights):
     return total
 
 
-def attentive_case(depth, m, b, steps, seed=0):
-    """Float64 parameters, question, sentence states (masked when B > 1),
-    targets and loss weights for the attentive-op tests."""
+def attentive_case(depth, m, b, steps, seed=0, dtype=np.float64):
+    """Parameters, question, sentence states (masked when B > 1), targets
+    and loss weights for the attentive-op tests, float64 unless ``dtype``."""
     config = toy_config(size=5, depth=depth, memories=m, vocab_size=9)
-    params = init_params(config, seed=seed, dtype=np.float64)
+    params = init_params(config, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 1)
     k = 4
-    state = lambda rows: Tensor(rng.normal(size=(rows, 5)), requires_grad=True)
+    state = lambda rows: Tensor(rng.normal(size=(rows, 5)).astype(dtype), requires_grad=True)
     h_que, h_sen, h_final = state(b), state(b * k), state(b)
     mask = (np.arange(k) < np.array([k, 2, 1][:b])[:, None]).astype(float)
     targets = rng.integers(0, 9, size=(b, steps))
@@ -413,7 +416,7 @@ def attentive_case(depth, m, b, steps, seed=0):
 
 
 class TestAttentiveOps:
-    """`memory_layer` and `decoder_layer` against the composed-op reference."""
+    """`memory_module` and the decoder against the composed-op reference."""
 
     @pytest.mark.parametrize("depth, m, b, steps", [
         (1, 1, 1, 1), (1, 3, 3, 2), (2, 1, 3, 3), (2, 3, 1, 3), (2, 3, 3, 1)])
@@ -423,7 +426,7 @@ class TestAttentiveOps:
         inputs = [h_que, h_sen, h_final] + params.tensors()
 
         def composed():
-            memories = composed_memory(*states, params, config)
+            memories = composed_memory(*states, params, config)[0]
             return memories, composed_decoder(memories, targets, params, depth)
 
         def fused():
@@ -446,6 +449,22 @@ class TestAttentiveOps:
             assert (a is None) == (g is None)
             if a is not None:
                 np.testing.assert_allclose(g, a, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("depth, m, b, steps",
+                             itertools.product((1, 2), (1, 3), (1, 3), (1, 3)))
+    def test_float32_forward_equals_composed_ops_bit_for_bit(self, depth, m, b, steps):
+        config, params, states, targets, _ = attentive_case(depth, m, b, steps, seed=m + b,
+                                                            dtype=np.float32)
+        fused = memory_module(*states, params, config)
+        composed = composed_memory(*states, params, config)
+        memories = fused[0]
+        fused += (decode_teacher_forced(memories, targets, params)[0],)
+        composed += (composed_decoder(memories, targets, params, depth),)
+        for got, want in zip(fused, composed, strict=True):  # memories, weights, contexts, logits
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.float32
+                np.testing.assert_array_equal(g.data, w.data)
 
     @pytest.mark.parametrize("depth, m, b", itertools.product((1, 2), (1, 3), (1, 3)))
     def test_memory_layer_grad_check(self, depth, m, b):
