@@ -39,9 +39,10 @@ print("sentence states:", h_sen.shape, f"({n_sent} sentences x {config.size} dim
 
 memories, weights, _ = memory_module(h_que, h_sen, batch.sentence_mask,
                                      h_final, params, config)
-for i, w in enumerate(weights, 1):
-    print(f"memory step {i} attention over sentences: {np.round(w.data[0], 3)}"
-          f"  (sums to {w.data[0].sum():.6f})")
+print("memories:", memories.shape, f"({config.memories} steps x {config.size} dims)")
+for i, w in enumerate(weights[:, 0], 1):  # weights: [steps, batch, sentences]
+    print(f"memory step {i} attention over sentences: {np.round(w, 3)}"
+          f"  (sums to {w.sum():.6f})")
 
 tokens, dec_weights = decode_greedy(memories, params, config)
 decoded = vocab.decode([t for t in tokens[0] if t != EOS])

@@ -146,10 +146,10 @@ def instrument_ops(config: ModelConfig, story_shape, seed: int = 0) -> OpCountRe
     with MacCounter() as c_word:
         encode_question(story, None, params, config)
     with MacCounter() as c_mem:
-        memories_list, _, _ = memory_module(h_que, h_sen, None, h_final, params, config)
+        memories, _, _ = memory_module(h_que, h_sen, None, h_final, params, config)
     with MacCounter() as c_dec:
         targets = np.concatenate([tok((1, answer_len)), [[EOS]]], axis=1)
-        decode_teacher_forced(memories_list, targets, params)
+        decode_teacher_forced(memories, targets, params)
 
     with MacCounter() as c_base:
         state = Tensor(np.zeros((1, config.size), dtype=params.dtype))

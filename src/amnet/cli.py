@@ -248,6 +248,9 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.sentences < 1 or args.words < 1:
+        raise ContractError(f"a story needs at least 1 sentence of 1 word, got "
+                            f"--sentences {args.sentences} --words {args.words}")
     shape = (args.sentences, args.words, 5, 1)
     config = ModelConfig(size=args.size, depth=args.layers, memories=args.memories,
                          vocab_size=40, max_sentence_len=max(args.words, 1),

@@ -18,8 +18,10 @@ kernels of `amnet.gru` (its "Arithmetic"). One embedding matrix serves
 question, document and answer tokens.
 
 Everything is batch-first ([B, e] states); single-example calls use B=1.
-Sentence states for a batch live in one [B*S, e] tensor, row b*S+s
-holding sentence s of example b.
+A batch's rows live in one tensor, example-major: the sentence states
+[B*S, e] (row b*S+s is sentence s of example b), the memories [B*m, e]
+and the teacher-forced logits [B*T, V] alike. Attention weights and
+contexts carry no gradient and come back as step-major arrays [steps, B, ...].
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from amnet.gru import (
     run_bidirectional, run_sequence,
 )
 from amnet.tensor import (
-    ContractError, MaskError, ShapeError, Tensor, _count_macs, _emit_all, _finite, _wrap, add,
+    ContractError, MaskError, ShapeError, Tensor, _count_macs, _emit, _finite, _wrap, add,
     concat_cols, constant, cross_entropy_rows, matmul, mix_rows, mul, repeat_rows,
     reshape, scale, softmax_masked, sum_all, take_rows, tanh,
 )
@@ -386,21 +388,12 @@ class _Recurrence:
         _finite(self.pre[:n], op)
         _finite(self.att_pre[:n], op)
 
-    def outputs(self) -> list[np.ndarray]:
-        return [self.h[t + 1, -1] for t in range(self.n)]
-
-    def weights(self) -> list[Tensor]:
-        return [_wrap(p) for p in self.p[:self.n]]
-
-    def contexts(self) -> list[Tensor]:
-        return [_wrap(c) for c in self.cat[:self.n, :, :self.e]]
-
     def params(self) -> list[Tensor]:
         return [t for layer in self.cell.layers for _, t in layer.named()] + [
             self.att.w1, self.att.w2, self.att.v, self.att.proj]
 
     def backward(self, douts):
-        """BPTT from the gradients of the step outputs (None for none).
+        """BPTT from the gradients of the step outputs ``douts`` [n, B, e].
 
         Returns the gradients of the layer-0 pre-activations per step
         [n, B, 3d] (the caller maps them onto its inputs), of the states
@@ -413,7 +406,7 @@ class _Recurrence:
         d_s3 = np.zeros((b, k, e), da.dtype)
         carry = [np.zeros((b, d), da.dtype) for _ in range(self.depth)]
         for t in range(n - 1, -1, -1):
-            dout = carry[top] if douts[t] is None else douts[t] + carry[top]
+            dout = douts[t] + carry[top]
             d_out[t] = dout
             dcat = dout @ proj.T
             dctx, p = dcat[:, :e], self.p[t]
@@ -448,16 +441,21 @@ class _Recurrence:
         return da[:, 0], d_states, carry[0], grads
 
 
+def _by_example(a: np.ndarray) -> np.ndarray:
+    """Step-major [n, B, c] -> example-major [B*n, c]; row b*n+t is a[t, b]."""
+    return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
+
+
 def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
                   params: ModelParams, config: ModelConfig):
-    """``config.memories`` attentive steps over the sentence states ``h_sen``
-    [B*k, e] (``sentence_mask`` None or [B, k]), each fed the question state
-    ``h_que`` [B, e]: one tape op.
+    """``config.memories`` = m attentive steps over the sentence states
+    ``h_sen`` [B*k, e] (``sentence_mask`` None or [B, k]), each fed the
+    question state ``h_que`` [B, e]: one tape op.
 
     The cell starts from the document encoding (m_0 = h_sen_final; upper
-    layers from 0). Returns (memories, weights, contexts): per step the
-    state [B, e], the attention weights [B, k] and the context [B, e]; only
-    the memories carry gradients.
+    layers from 0). Returns (memories [B*m, e], row b*m+j the state after
+    step j of example b; attention weights [m, B, k]; contexts [m, B, e]).
+    Only the memories are a tensor, the rest carry no gradient.
     """
     cell = params.memory_cell
     if h_que.shape != h_sen_final.shape or h_que.shape[1] != cell.layers[0].d_in:
@@ -468,31 +466,36 @@ def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tens
     for _ in range(config.memories):
         rec.step(h_que.data)
     rec.check("memory_layer")
+    n, b, e = rec.n, rec.b, rec.e
 
-    def back(*douts):
-        da0, d_states, d_first, grads = rec.backward(douts)
+    def back(g):
+        da0, d_states, d_first, grads = rec.backward(g.reshape(b, n, e).transpose(1, 0, 2))
         # the query is every step's input: one product for all steps
         return (da0.sum(axis=0) @ rec.layers[0][0].T, d_states, d_first, *grads)
 
     inputs = (h_que, h_sen, h_sen_final, *rec.params())
-    return _emit_all(rec.outputs(), "memory_layer", inputs, back), rec.weights(), rec.contexts()
+    memories = _emit(_by_example(rec.h[1:, -1]), "memory_layer", inputs, back)
+    return memories, rec.p[:n], rec.cat[:n, :, :e]
 
 
-def _decoder_layer(memories, params: ModelParams, steps: int, targets=None):
+def _decoder_layer(memories: Tensor, m: int, params: ModelParams, steps: int, targets=None):
     """The decoder's step loop as one tape op: attentive steps over the
-    memories, interleaved as [B*m, e], from the last memory, each output
+    ``memories`` [B*m, e], from each example's last memory, each output
     projected onto the vocabulary.
 
     Step 1 consumes the GO embedding. With ``targets`` [B, steps] step t+1
     consumes target t (teacher forcing); without, it consumes the argmax of
     step t's logits, and the loop stops once every row has emitted EOS.
-    Returns (logits per step, attention weights per step, argmax ids
-    [B, steps run]); only the logits carry gradients, and only with targets.
+    Returns (logits [B*steps, V], row b*steps+t step t of example b, only
+    with targets; attention weights [n, B, m]; argmax ids [B, n], only
+    without), for the n steps run.
     """
-    b, e = memories[0].shape
-    m_states = np.stack([t.data for t in memories], axis=1).reshape(b * len(memories), e)
+    rows, e = memories.shape
+    if rows == 0 or rows % m:
+        raise ShapeError(f"{rows} memory rows do not split into groups of {m}")
+    b = rows // m
     emb, out_w, out_b = params.embedding, params.out_w, params.out_b
-    rec = _Recurrence(m_states, None, memories[-1].data, params.decoder_cell,
+    rec = _Recurrence(memories.data, None, memories.data[m - 1::m], params.decoder_cell,
                       params.decoder_attention, steps)
     logits = np.empty((steps, b, out_w.shape[1]), rec.pre.dtype)
     ids = np.empty((steps + 1, b), np.int64)  # row t: the ids step t consumes
@@ -514,51 +517,54 @@ def _decoder_layer(memories, params: ModelParams, steps: int, targets=None):
     _finite(rec.h[1:n + 1, -1], "decoder_layer")
     if targets is None:
         _finite(logits[:n], "decoder_layer")
-        return None, rec.weights(), ids[1:n + 1].T
+        return None, rec.p[:n], ids[1:n + 1].T
 
-    def back(*dlogits):
-        dl = np.stack([np.zeros((b, out_w.shape[1]), logits.dtype) if g is None else g
-                       for g in dlogits])
+    def back(g):
+        # step-major and contiguous, the layout the forward computed in
+        dl = np.ascontiguousarray(g.reshape(b, n, -1).transpose(1, 0, 2))
         outs = rec.h[1:n + 1, -1]
         da0, d_states, d_first, grads = rec.backward(dl @ out_w.data.T)
         d_emb = np.zeros_like(emb.data)
         np.add.at(d_emb, ids[:n].reshape(-1), (da0 @ rec.layers[0][0].T).reshape(-1, e))
-        d_mem = list(d_states.reshape(b, len(memories), e).transpose(1, 0, 2))
-        d_mem[-1] = d_mem[-1] + d_first
-        return (*d_mem, d_emb, *grads,
+        d_states[m - 1::m] += d_first
+        return (d_states, d_emb, *grads,
                 outs.reshape(-1, e).T @ dl.reshape(-1, dl.shape[2]), dl.sum(axis=(0, 1)))
 
-    inputs = (*memories, emb, *rec.params(), out_w, out_b)
-    return _emit_all(list(logits[:n]), "decoder_layer", inputs, back), rec.weights(), None
+    inputs = (memories, emb, *rec.params(), out_w, out_b)
+    return _emit(_by_example(logits[:n]), "decoder_layer", inputs, back), rec.p[:n], None
 
 
-def decode_teacher_forced(memories, targets, params: ModelParams):
-    """Gold tokens drive the decoder (`_decoder_layer`); one logit row per
-    target position.
+def decode_teacher_forced(memories: Tensor, targets, params: ModelParams):
+    """Gold tokens drive the decoder (`_decoder_layer`) over the memories
+    [B*m, e]; B is the number of target rows.
 
     Step 1 consumes the GO embedding, step t+1 the embedding of target t.
-    Returns (logits per step, attention weights per step).
+    Returns (logits [B*T, V], row b*T+t step t of example b; attention
+    weights [T, B, m]).
     """
     if targets is None:
         raise ContractError("teacher-forced decoding needs gold targets")
     tgt = np.atleast_2d(np.asarray(targets, dtype=np.int64))
     if tgt.shape[1] == 0:
         raise ContractError("teacher-forced decoding needs at least one target position")
-    if tgt.shape[0] != memories[0].shape[0]:
-        raise ShapeError(f"{tgt.shape[0]} target rows for {memories[0].shape[0]} memory rows")
+    (b, steps), rows = tgt.shape, memories.shape[0]
+    if b == 0 or rows % b:
+        raise ShapeError(f"{b} target rows for {rows} memory rows")
     if tgt.min() < 0 or tgt.max() >= params.embedding.shape[0]:
         raise IndexError(f"target id outside vocabulary of size {params.embedding.shape[0]}")
-    logits, weights, _ = _decoder_layer(memories, params, tgt.shape[1], tgt)
+    logits, weights, _ = _decoder_layer(memories, rows // b, params, steps, tgt)
     return logits, weights
 
 
-def decode_greedy(memories, params: ModelParams, config: ModelConfig):
-    """Free-running greedy decode (`_decoder_layer`); halts at EOS (all rows)
-    or the length cap.
+def decode_greedy(memories: Tensor, params: ModelParams, config: ModelConfig):
+    """Free-running greedy decode (`_decoder_layer`) over the memories
+    [B*m, e], m = ``config.memories``; halts at EOS (all rows) or the
+    length cap.
 
-    Returns (tokens [B, steps], attention weights per step).
+    Returns (tokens [B, n], attention weights [n, B, m]) for the n steps run.
     """
-    _, weights, tokens = _decoder_layer(memories, params, config.max_answer_len + 1)
+    _, weights, tokens = _decoder_layer(memories, config.memories, params,
+                                        config.max_answer_len + 1)
     return tokens, weights
 
 
@@ -592,27 +598,22 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
         h_que, params, config)
     memories, _, _ = memory_module(
         h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
-    logits_per_step, _ = decode_teacher_forced(memories, batch.answer, params)
+    logits, _ = decode_teacher_forced(memories, batch.answer, params)
 
-    per_row = None
-    for t, logits in enumerate(logits_per_step):
-        ce = cross_entropy_rows(logits, batch.answer[:, t])
-        term = mul(ce, constant(batch.answer_mask[:, t].astype(ce.dtype)))
-        per_row = term if per_row is None else add(per_row, term)
+    # every answer position at once: row b*T+t of the logits is position t of example b
+    ce = cross_entropy_rows(logits, batch.answer.reshape(-1))
+    live = mul(ce, constant(batch.answer_mask.reshape(-1).astype(ce.dtype)))
     n_positions = int(batch.answer_mask.sum())
-    loss = scale(sum_all(per_row), 1.0 / n_positions)
-    return ForwardResult(loss, n_positions)
+    return ForwardResult(scale(sum_all(live), 1.0 / n_positions), n_positions)
 
 
 def _build_records(batch, predictions, mem_weights, mem_contexts, dec_weights):
+    """One AttentionRecord per example, from step-major [steps, B, ...] arrays."""
     records = []
     for i, real in enumerate(batch.sentence_mask):
-        n_sent = int(real.sum())
-        mem = np.stack([w.data[i, :n_sent] for w in mem_weights])
-        ctx = np.stack([c.data[i] for c in mem_contexts])
         t_i = min(len(predictions[i]) + 1, len(dec_weights))
-        dec = np.stack([w.data[i] for w in dec_weights[:t_i]])
-        records.append(AttentionRecord(mem, dec, ctx))
+        records.append(AttentionRecord(mem_weights[:, i, :int(real.sum())],
+                                       dec_weights[:t_i, i], mem_contexts[:, i]))
     return records
 
 

@@ -236,8 +236,11 @@ def _negative_seed(tmp_path, command: str, task_flag: str):
     pytest.param(lambda d: _negative_seed(d, "train", "--task"), "seed must be >= 0, got -1",
                  marks=pytest.mark.filterwarnings("ignore:expected 10,000 examples")),
     (lambda d: _negative_seed(d, "reproduce", "--tasks"), "seed must be >= 0, got -1"),
+    (lambda d: ["bench", "--sentences", "-3"], "--sentences -3 --words 6"),
+    (lambda d: ["bench", "--words", "-2"], "--sentences 10 --words -2"),
 ], ids=["config-value-not-int", "config-line-not-utf8", "babi-support-not-int",
-        "train-negative-seed", "reproduce-negative-seed"])
+        "train-negative-seed", "reproduce-negative-seed", "bench-negative-sentences",
+        "bench-negative-words"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, where):
     assert main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err

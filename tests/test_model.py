@@ -255,12 +255,12 @@ class TestMemoryModule:
 
     def test_single_sentence_weight_is_one(self, setup):
         (memories, weights, _), *_ = self.run_modules(setup, n_sent=1, m=1)
-        np.testing.assert_array_equal(weights[0].data, [[1.0]])
+        np.testing.assert_array_equal(weights, [[[1.0]]])
 
     def test_rows_sum_to_one(self, setup):
         (memories, weights, _), *_ = self.run_modules(setup, n_sent=4, m=3)
-        for w in weights:
-            np.testing.assert_allclose(w.data.sum(axis=1), [1.0], atol=1e-6)
+        assert weights.shape == (3, 1, 4)
+        np.testing.assert_allclose(weights.sum(axis=2), np.ones((3, 1)), atol=1e-6)
 
     def test_first_memory_starts_from_document_state(self, setup):
         config, params, rng = setup
@@ -269,18 +269,19 @@ class TestMemoryModule:
         out, _, a, _ = attentive_cell_step(
             h_que, h_final, h_sen, params.memory_cell,
             params.memory_attention, batch.sentence_mask, 3)
-        np.testing.assert_allclose(memories[0].data, out.data, atol=1e-12)
-        np.testing.assert_allclose(weights[0].data, a.data, atol=1e-12)
+        assert memories.shape == (1, 6)
+        np.testing.assert_allclose(memories.data, out.data, atol=1e-12)
+        np.testing.assert_allclose(weights[0], a.data, atol=1e-12)
 
     def test_second_memory_is_one_more_attentive_step(self, setup):
         config, params, rng = setup
         (memories, weights, _), h_que, h_sen, h_final, batch = \
             self.run_modules(setup, n_sent=3, m=2)
         out, _, a, _ = attentive_cell_step(
-            h_que, memories[0], h_sen, params.memory_cell,
+            h_que, Tensor(memories.data[:1]), h_sen, params.memory_cell,
             params.memory_attention, batch.sentence_mask, 3)
-        np.testing.assert_allclose(memories[1].data, out.data, atol=1e-12)
-        np.testing.assert_allclose(weights[1].data, a.data, atol=1e-12)
+        np.testing.assert_allclose(memories.data[1:], out.data, atol=1e-12)
+        np.testing.assert_allclose(weights[1], a.data, atol=1e-12)
 
     def test_zero_memories_rejected(self):
         with pytest.raises(ConfigError):
@@ -303,13 +304,12 @@ class TestDecoder:
     def test_single_memory_attention_is_one(self, setup):
         config, params, batch, memories = self.prepare(setup, m=1)
         logits, weights = decode_teacher_forced(memories, batch.answer, params)
-        for w in weights:
-            np.testing.assert_array_equal(w.data, [[1.0]])
+        np.testing.assert_array_equal(weights, np.ones((2, 1, 1)))
 
     def test_single_token_answer_two_steps(self, setup):
         config, params, batch, memories = self.prepare(setup, ans=(5,))
         logits, weights = decode_teacher_forced(memories, batch.answer, params)
-        assert len(logits) == 2  # token then EOS
+        assert logits.shape == (2, 14) and weights.shape == (2, 1, 1)  # token then EOS
 
     def test_teacher_forced_without_targets_rejected(self, setup):
         config, params, batch, memories = self.prepare(setup)
@@ -320,17 +320,12 @@ class TestDecoder:
         config, params, batch, memories = self.prepare(setup, m=2)
         tokens, _ = decode_greedy(memories, params, config)
         # re-run manually, one argmax at a time
-        import amnet.model as M
-        hs = [memories[-1]]
-        states = None
+        hs = [Tensor(memories.data[-1:])]
         prev = np.array([GO])
         out_ids = []
-        m_states = None
-        from amnet.tensor import interleave_rows
-        m_states = interleave_rows(memories)
         for _ in range(config.max_answer_len + 1):
             x = take_rows(params.embedding, prev)
-            out, hs, a, _ = attentive_cell_step(x, hs, m_states, params.decoder_cell,
+            out, hs, a, _ = attentive_cell_step(x, hs, memories, params.decoder_cell,
                                                 params.decoder_attention, None, 2)
             ids = (out.data @ params.out_w.data + params.out_b.data).argmax(axis=1)
             out_ids.append(int(ids[0]))
@@ -342,14 +337,12 @@ class TestDecoder:
     def test_decoder_initial_state_is_last_memory(self, setup):
         config, params, batch, memories = self.prepare(setup, m=2)
         logits, weights = decode_teacher_forced(memories, batch.answer, params)
-        from amnet.tensor import interleave_rows
-        m_states = interleave_rows(memories)
         x = take_rows(params.embedding, np.array([GO]))
-        out, _, a, _ = attentive_cell_step(x, memories[-1], m_states,
+        out, _, a, _ = attentive_cell_step(x, Tensor(memories.data[-1:]), memories,
                                            params.decoder_cell,
                                            params.decoder_attention, None, 2)
         want = out.data @ params.out_w.data + params.out_b.data
-        np.testing.assert_allclose(logits[0].data, want, atol=1e-12)
+        np.testing.assert_allclose(logits.data[:1], want, atol=1e-12)  # row 0: step 0
 
     def test_cut_at_eos(self):
         rows = np.array([[5, EOS, 7], [4, 5, 6], [EOS, 0, 0], [6, EOS, EOS]])
@@ -364,7 +357,8 @@ class TestDecoder:
 
 def composed_memory(h_que, h_sen, mask, h_final, params, config):
     """The memory module as composed tape ops, one `attentive_cell_step` per
-    step; returns (memories, weights, contexts) as `memory_module` does."""
+    step; returns per step (memories, weights, contexts), the [B, e] and
+    [B, k] tensors that `memory_module` returns stacked."""
     hs = [h_final] + [Tensor(np.zeros_like(h_final.data)) for _ in range(config.depth - 1)]
     k = h_sen.shape[0] // h_que.shape[0]
     memories, weights, contexts = [], [], []
@@ -378,25 +372,24 @@ def composed_memory(h_que, h_sen, mask, h_final, params, config):
 
 
 def composed_decoder(memories, targets, params, depth):
-    """Teacher-forced decoding as composed tape ops; returns the logits per step."""
-    m_states = interleave_rows(memories)
-    hs = [memories[-1]] + [Tensor(np.zeros_like(memories[-1].data)) for _ in range(depth - 1)]
-    prev, logits = np.full(len(targets), GO), []
+    """Teacher-forced decoding as composed tape ops over the memories
+    [B*m, e]; returns the logits per step, [B, V] each."""
+    b = len(targets)
+    m = memories.shape[0] // b
+    last = take_rows(memories, np.arange(b) * m + m - 1)
+    hs = [last] + [Tensor(np.zeros_like(last.data)) for _ in range(depth - 1)]
+    prev, logits = np.full(b, GO), []
     for t in range(targets.shape[1]):
         x = take_rows(params.embedding, prev)
-        out, hs, _, _ = attentive_cell_step(x, hs, m_states, params.decoder_cell,
-                                            params.decoder_attention, None, len(memories))
+        out, hs, _, _ = attentive_cell_step(x, hs, memories, params.decoder_cell,
+                                            params.decoder_attention, None, m)
         logits.append(add(matmul(out, params.out_w), params.out_b))
         prev = targets[:, t]
     return logits
 
 
-def weighted_loss(tensors, weights):
-    total = None
-    for t, w in zip(tensors, weights):
-        term = sum_all(mul(t, Tensor(w)))
-        total = term if total is None else add(total, term)
-    return total
+def weighted_loss(tensor, weights):
+    return sum_all(mul(tensor, Tensor(weights)))
 
 
 def attentive_case(depth, m, b, steps, seed=0, dtype=np.float64):
@@ -410,8 +403,7 @@ def attentive_case(depth, m, b, steps, seed=0, dtype=np.float64):
     h_que, h_sen, h_final = state(b), state(b * k), state(b)
     mask = (np.arange(k) < np.array([k, 2, 1][:b])[:, None]).astype(float)
     targets = rng.integers(0, 9, size=(b, steps))
-    weights = [rng.normal(size=(b, 5)) for _ in range(m)], [
-        rng.normal(size=(b, 9)) for _ in range(steps)]
+    weights = rng.normal(size=(b * m, 5)), rng.normal(size=(b * steps, 9))
     return config, params, (h_que, h_sen, mask, h_final), targets, weights
 
 
@@ -426,8 +418,8 @@ class TestAttentiveOps:
         inputs = [h_que, h_sen, h_final] + params.tensors()
 
         def composed():
-            memories = composed_memory(*states, params, config)[0]
-            return memories, composed_decoder(memories, targets, params, depth)
+            memories = interleave_rows(composed_memory(*states, params, config)[0])
+            return memories, interleave_rows(composed_decoder(memories, targets, params, depth))
 
         def fused():
             memories = memory_module(*states, params, config)[0]
@@ -455,16 +447,18 @@ class TestAttentiveOps:
     def test_float32_forward_equals_composed_ops_bit_for_bit(self, depth, m, b, steps):
         config, params, states, targets, _ = attentive_case(depth, m, b, steps, seed=m + b,
                                                             dtype=np.float32)
-        fused = memory_module(*states, params, config)
-        composed = composed_memory(*states, params, config)
-        memories = fused[0]
-        fused += (decode_teacher_forced(memories, targets, params)[0],)
-        composed += (composed_decoder(memories, targets, params, depth),)
-        for got, want in zip(fused, composed, strict=True):  # memories, weights, contexts, logits
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype == np.float32
-                np.testing.assert_array_equal(g.data, w.data)
+        memories, weights, contexts = memory_module(*states, params, config)
+        logits = decode_teacher_forced(memories, targets, params)[0]
+        want_memories, want_weights, want_contexts = composed_memory(*states, params, config)
+        want_logits = composed_decoder(memories, targets, params, depth)
+        step_major = lambda ts: np.stack([t.data for t in ts])
+        for got, want in [
+                (memories.data, interleave_rows(want_memories).data),
+                (weights, step_major(want_weights)),
+                (contexts, step_major(want_contexts)),
+                (logits.data.reshape(b, steps, 9), step_major(want_logits).transpose(1, 0, 2))]:
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("depth, m, b", itertools.product((1, 2), (1, 3), (1, 3)))
     def test_memory_layer_grad_check(self, depth, m, b):
@@ -481,8 +475,8 @@ class TestAttentiveOps:
     def test_decoder_layer_grad_check(self, depth, m, b, steps):
         config, params, _, targets, (_, lw) = attentive_case(depth, m, b, steps, seed=depth + m)
         rng = np.random.default_rng(steps)
-        memories = [Tensor(rng.normal(size=(b, 5)), requires_grad=True) for _ in range(m)]
-        tensors = memories + [params.embedding, params.out_w, params.out_b] + [
+        memories = Tensor(rng.normal(size=(b * m, 5)), requires_grad=True)
+        tensors = [memories, params.embedding, params.out_w, params.out_b] + [
             t for name, t in params.named_parameters() if name.startswith("decoder")]
         err = grad_check(lambda *_: weighted_loss(
             decode_teacher_forced(memories, targets, params)[0], lw), tensors)
@@ -497,12 +491,14 @@ class TestAttentiveOps:
         with Tape() as tape:
             memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask, h_final,
                                            params, config)
-            assert len(tape.nodes) == 1 and len(memories) == 3
+            assert len(tape.nodes) == 1 and tape.nodes[0].output is memories
+            assert memories.shape == (3, 6)  # B=1 x 3 memories
             logits, _ = decode_teacher_forced(memories, batch.answer, params)
-        assert len(tape.nodes) == 2 and len(logits) == 3
+        assert len(tape.nodes) == 2 and tape.nodes[1].output is logits
+        assert logits.shape == (3, 14)  # B=1 x 3 answer positions
 
-    def test_task1_shaped_batch_records_21_nodes(self):
-        # question 3, document 9, memory 1, decoder 1, loss 7 (2 decoder steps)
+    def test_task1_shaped_batch_records_18_nodes(self):
+        # question 3, document 9, memory 1, decoder 1, loss 4 (one pass over all positions)
         config = toy_config(size=32, memories=1, vocab_size=14, max_answer_len=1)
         params = init_params(config, seed=0)
         rng = np.random.default_rng(5)
@@ -510,7 +506,7 @@ class TestAttentiveOps:
                             for n in (2, 7, 4, 10, 5)])
         with Tape() as tape:
             forward_batch(batch, params, config, training=True)
-        assert len(tape.nodes) == 21
+        assert len(tape.nodes) == 18
 
     def test_story_row_without_live_state_rejected(self, setup):
         config, params, rng = setup
@@ -529,10 +525,9 @@ class TestAttentiveOps:
         params.memory_attention.w1.data[0, 0] = np.inf
         with pytest.raises(NumericError, match="memory_layer"):
             memory_module(h_que, h_sen, batch.sentence_mask, h_final, params, config)
-        memories = [h_final]
         params.decoder_cell.layers[0].b.data[0] = np.inf
         with pytest.raises(NumericError, match="decoder_layer"):
-            decode_greedy(memories, params, config)
+            decode_greedy(h_final, params, config)
 
 
 class TestForward:
@@ -579,9 +574,8 @@ class TestForward:
                                        h_final, params, config)
         logits, _ = decode_teacher_forced(memories, batch.answer, params)
         total = 0.0
-        for t, lg in enumerate(logits):
+        for t, row in enumerate(logits.data.reshape(2, -1, 14)[0]):  # example 0's steps
             if batch.answer_mask[0, t]:
-                row = lg.data[0]
                 shifted = row - row.max()
                 total += np.log(np.exp(shifted).sum()) - shifted[batch.answer[0, t]]
         padded = total / batch.answer_mask[0].sum()

@@ -208,6 +208,17 @@ class TestBackward:
         with pytest.raises(ContractError):
             other.backward(loss)
 
+    def test_node_off_the_loss_path_is_skipped(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with Tape() as tape:
+            side = matmul(x, w)  # recorded, but never reaches the loss
+            loss = sum_all(x)
+        assert len(tape.nodes) == 2
+        tape.backward(loss)
+        assert side.grad is None and w.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
+
     def test_reused_operand_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
