@@ -101,23 +101,20 @@ class OpCountReport:
         return self.memory_module / self.baseline_memory
 
 
-def count_ops(config: ModelConfig, story_shape, memories: int | None = None) -> OpCountReport:
+def count_ops(config: ModelConfig, story_shape) -> OpCountReport:
     """Closed-form forward MAC counts for one example.
 
     ``story_shape`` is (sentences, words_per_sentence, question_len,
     answer_len); the decoder runs answer_len + 1 steps (tokens then EOS).
-    ``memories`` overrides config.memories (0 is allowed here: the
-    hypothetical memory-free cost is 0).
     """
     s, w, q, answer_len = story_shape
-    e, depth = config.size, config.depth
-    m = config.memories if memories is None else memories
+    e, depth, m = config.size, config.depth, config.memories
     cell = stack_macs(e, e, depth)
     return OpCountReport(
         question_encoder=q * cell,
         word_level_encoder=s * w * cell,
         sentence_level_encoder=2 * s * cell,
-        memory_module=(s * e * e if m else 0) + m * (cell + attend_macs(s, e)),
+        memory_module=s * e * e + m * (cell + attend_macs(s, e)),
         decoder=m * e * e + (answer_len + 1) * (cell + attend_macs(m, e) + e * config.vocab_size),
         baseline_memory=m * s * (w + 1) * cell,
     )

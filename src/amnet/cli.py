@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from amnet.analysis import (
     SOLVED_THRESHOLD, TASK_SETTINGS, count_ops, export_attention,
     instrument_ops, reproduce_tasks,
@@ -113,6 +115,9 @@ def build_parser() -> _Parser:
 
 def cmd_train(args) -> int:
     task = _check_task(args.task)
+    out = args.out or f"amn_task{task}.ckpt"
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(f"cannot write {out}: not a file in an existing directory")
     size, layers, memories, budget = TASK_SETTINGS[task]
     data = load_task_data(_data_dir(args), task)
     config = ModelConfig(
@@ -129,7 +134,6 @@ def cmd_train(args) -> int:
         target_val_error=args.target_val_error,
     )
     result = train(config, cfg, data)
-    out = args.out or f"amn_task{task}.ckpt"
     save_checkpoint(result.params, config, out, data.vocab)
     log_path = out + ".log.tsv"
     open(log_path, "w").close()
@@ -173,8 +177,6 @@ def cmd_ask(args) -> int:
     """Answer '? question' lines over the statements told since the last 'reset'.
     Each distinct statement's word-level vector is kept, so a question reads
     only the statements new since the one before (`encode_document`)."""
-    import numpy as np
-
     from amnet.data import Batch, _padded
 
     ckpt = _load_with_vocab(args.model)
@@ -301,7 +303,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # every op raises NumericError on a non-finite output: numpy's
+        # warnings on the way there would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -104,12 +104,6 @@ class StackSpec:
             for name, t in layer.named():
                 yield f"{prefix}.{i}.{name}", t
 
-    @classmethod
-    def create(cls, d_in: int, d: int, depth: int, rng: np.random.Generator,
-               dtype=np.float32) -> "StackSpec":
-        layers = [GruParams.create(d_in if i == 0 else d, d, rng, dtype) for i in range(depth)]
-        return cls(layers)
-
 
 def gru_layer(x: Tensor, h0: Tensor, p: GruParams, rev: GruParams | None = None) -> Tensor:
     """One GRU layer over a whole sequence, recorded as a single tape op.

@@ -99,14 +99,6 @@ class AttentionParams:
         for name in ("w1", "w2", "v", "proj"):
             yield f"{prefix}.{name}", getattr(self, name)
 
-    @classmethod
-    def create(cls, e: int, rng: np.random.Generator, dtype=np.float32) -> "AttentionParams":
-        def w(rows, cols, scale):
-            return Tensor(rng.uniform(-scale, scale, (rows, cols)).astype(dtype),
-                          requires_grad=True)
-
-        return cls(w(e, e, 0.5), w(e, e, 0.5), w(e, 1, 1.0), w(2 * e, e, 0.5))
-
 
 # the GRU cell stacks of ModelParams, in creation and file order
 _STACKS = ("encoder", "sentence_fwd", "sentence_bwd", "memory_cell", "decoder_cell")
@@ -146,7 +138,8 @@ class ModelParams:
 
 
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
-    """Uniform weights, zero biases, fixed creation order.
+    """Each array of the checkpoint file (`_param_table`), in file order,
+    drawn uniform from +-bound, or zeros where the bound is 0 (biases).
 
     Weight matrices draw from +-0.5 and attention score vectors from +-1.0:
     wide enough that attention logits differentiate from the start. With a
@@ -154,19 +147,9 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelPa
     training stalls near the answer-prior plateau for thousands of batches.
     """
     rng = np.random.default_rng(seed)
-    e, v = config.size, config.vocab_size
-
-    def w(rows, cols):
-        return Tensor(rng.uniform(-0.5, 0.5, (rows, cols)).astype(dtype), requires_grad=True)
-
-    return ModelParams(
-        embedding=w(v, e),
-        **{stack: StackSpec.create(e, e, config.depth, rng, dtype) for stack in _STACKS},
-        memory_attention=AttentionParams.create(e, rng, dtype),
-        decoder_attention=AttentionParams.create(e, rng, dtype),
-        out_w=w(e, v),
-        out_b=Tensor(np.zeros(v, dtype=dtype), requires_grad=True),
-    )
+    arrays = {name: rng.uniform(-bound, bound, shape) if bound else np.zeros(shape)
+              for name, (shape, bound) in _param_table(config).items()}
+    return _build_params(arrays, config, dtype)
 
 
 @dataclass
@@ -678,23 +661,32 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
     if vocab is not None:
         lines.append("vocab=" + " ".join(vocab.id_to_token[4:]))
     named = list(_file_arrays(params))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<I", len(lines)))
-        for line in lines:
-            raw = line.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(struct.pack("<I", len(named)))
-        for name, a in named:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            arr = np.ascontiguousarray(a, dtype="<f4")
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    # written whole beside ``path``, then moved over it: an interrupted save
+    # leaves the previous file as it was
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<H", _VERSION))
+            fh.write(struct.pack("<I", len(lines)))
+            for line in lines:
+                raw = line.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+            fh.write(struct.pack("<I", len(named)))
+            for name, a in named:
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                arr = np.ascontiguousarray(a, dtype="<f4")
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _file_arrays(params: ModelParams):
@@ -708,17 +700,19 @@ def _file_arrays(params: ModelParams):
             yield name, t.data
 
 
-def _param_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape of every array in the file of a ``config`` model, without creating any."""
+def _param_table(config: ModelConfig) -> dict[str, tuple]:
+    """Name -> (shape, init bound) of every array in the file of a
+    ``config`` model, in file order, without creating any."""
     e, v = config.size, config.vocab_size
-    gate = {"w": (e, e), "u": (e, e), "b": (e,)}  # one gate's part of a cell's array
-    att = {"w1": (e, e), "w2": (e, e), "v": (e, 1), "proj": (2 * e, e)}
-    return {"embedding": (v, e),
+    # one gate's part of a cell's array
+    gate = {"w": ((e, e), 0.5), "u": ((e, e), 0.5), "b": ((e,), 0)}
+    att = {"w1": ((e, e), 0.5), "w2": ((e, e), 0.5), "v": ((e, 1), 1.0), "proj": ((2 * e, e), 0.5)}
+    return {"embedding": ((v, e), 0.5),
             **{f"{s}.{i}.{n}{g}": c for s in _STACKS for i in range(config.depth)
                for n, c in gate.items() for g in _GATES},
             **{f"{a}.{n}": c for a in ("memory_attention", "decoder_attention")
                for n, c in att.items()},
-            "out_w": (e, v), "out_b": (v,)}
+            "out_w": ((e, v), 0.5), "out_b": ((v,), 0)}
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -745,16 +739,15 @@ def load_checkpoint(path) -> Checkpoint:
             config, vocab, arrays = _read_checkpoint(fh)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    return Checkpoint(_params_from_file(arrays, config), config, vocab)
+    return Checkpoint(_build_params(arrays, config, np.float32), config, vocab)
 
 
-def _params_from_file(arrays: dict, config: ModelConfig) -> ModelParams:
-    """`ModelParams` holding copies of the file's (checked) arrays, each GRU
-    cell's per-gate arrays joined gate-major (the inverse of `_file_arrays`)."""
+def _build_params(arrays: dict, config: ModelConfig, dtype) -> ModelParams:
+    """`ModelParams` holding ``dtype`` copies of ``arrays`` (the arrays of
+    `_param_table` by name), each GRU cell's per-gate arrays joined
+    gate-major (the inverse of `_file_arrays`)."""
     def param(*names):
-        parts = [arrays[n] for n in names]
-        t = _wrap(np.concatenate(parts, axis=-1, dtype=np.float32) if len(parts) > 1
-                  else parts[0].astype(np.float32))
+        t = _wrap(np.concatenate([arrays[n] for n in names], axis=-1, dtype=dtype))
         t.requires_grad = True
         return t
 
@@ -803,7 +796,7 @@ def _read_checkpoint(fh):
             raise CheckpointError("stored vocabulary disagrees with vocab_size")
     # the config fixes every array's shape: check the sizes before reading
     # or allocating any of them
-    shapes = _param_shapes(config)
+    shapes = {name: shape for name, (shape, _) in _param_table(config).items()}
     total, left = 4 * sum(map(math.prod, shapes.values())), os.fstat(fh.fileno()).st_size
     left -= fh.tell()
     if total > left:

@@ -19,11 +19,6 @@ def config_for(size, depth, mem, vocab=30):
 
 
 class TestCountFormulas:
-    def test_zero_memories_cost_nothing(self):
-        report = count_ops(config_for(32, 1, 1), (10, 6, 4, 1), memories=0)
-        assert report.memory_module == 0
-        assert report.baseline_memory == 0
-
     def test_memory_cost_ignores_words_per_sentence(self):
         c = config_for(32, 1, 2)
         a = count_ops(c, (10, 6, 4, 1))

@@ -3,6 +3,7 @@ import itertools
 import random
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ class TestTrainCmd:
         assert code == 3 and len(calls) == 2
         assert capsys.readouterr().err == (
             "numeric failure: take_rows produced non-finite values at batch 2 (lr=0.02)\n")
+
+    @pytest.mark.parametrize("name", ["missing/x.ckpt", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_out_fails_before_training(self, capsys, data_dir, tmp_path, monkeypatch,
+                                                  name):
+        monkeypatch.setattr(amnet.cli, "train", lambda *args: pytest.fail("train was called"))
+        out = tmp_path / name
+        code = main(["train", "--data-dir", str(data_dir), "--task", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err
 
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--data-dir", str(tmp_path), "--task", "1",
@@ -264,6 +275,54 @@ def test_checkpoint_errors_name_the_file(tmp_path, capsys, monkeypatch, damage):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+def _ask_checkpoint(tmp_path, memories=1):
+    """A size-4 checkpoint over the words a..f, and a session of two
+    statements and a question in them."""
+    config = ModelConfig(size=4, memories=memories, vocab_size=10, max_sentence_len=4,
+                         max_answer_len=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(config, seed=0), config, path, Vocabulary(list("abcdef")))
+    return path, "a b\nc d e\n? f a\n"
+
+
+def test_non_finite_answer_is_one_line(tmp_path, monkeypatch, capsys):
+    # a finite weight whose products overflow: the ops' own check reports it,
+    # not numpy's RuntimeWarnings before it
+    path, session = _ask_checkpoint(tmp_path)
+    ckpt = load_checkpoint(path)
+    ckpt.params.decoder_attention.proj.data[:] = -3e38
+    save_checkpoint(ckpt.params, ckpt.config, path, ckpt.vocab)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ask", "--model", str(path)]) == 3
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_damaged_checkpoints_end_in_one_line(tmp_path, monkeypatch, capsys):
+    """Every truncation up to the first array payload and a seeded sample of
+    byte changes: `ask` answers (0) or exits 2 or 3 with one stderr line."""
+    path, session = _ask_checkpoint(tmp_path, memories=2)
+    raw = path.read_bytes()
+    first_payload = raw.index(b"embedding") + len(b"embedding") + 1 + 8  # rank u8, 2 dims
+    damaged = [raw[:n] for n in range(first_payload + 1)]
+    rng = random.Random(0)
+    for _ in range(300):
+        i = rng.randrange(len(raw))
+        byte = rng.choice([0x00, 0xFF, raw[i] ^ 0x01, raw[i] ^ 0x80])
+        damaged.append(raw[:i] + bytes([byte]) + raw[i + 1:])
+    codes = []
+    for data in damaged:
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+        codes.append(main(["ask", "--model", str(path)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2, 3) and err.count("\n") == (codes[-1] != 0), (codes[-1], err)
+    assert set(codes[:first_payload + 1]) == {2}  # every truncation is refused
 
 
 class TestAskCmd:

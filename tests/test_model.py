@@ -783,10 +783,22 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert str(path) in err and len(err.splitlines()) == 1
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        config = toy_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(config, seed=7), config, path)
+        before = path.read_bytes()
+        params = init_params(config, seed=8)
+        params.out_b.data = np.array(["x"] * config.vocab_size, dtype=object)  # the last array
+        with pytest.raises(ValueError):
+            save_checkpoint(params, config, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_param_shapes_match_init_params(self):
         config = toy_config(depth=2)
         want = {n: a.shape for n, a in model_module._file_arrays(init_params(config))}
-        assert model_module._param_shapes(config) == want
+        assert {n: s for n, (s, _) in model_module._param_table(config).items()} == want
         assert want["encoder.1.w_z"] == (6, 6) and want["encoder.1.b_h"] == (6,)
 
     def test_file_bytes_pinned(self, tmp_path):
