@@ -1,13 +1,13 @@
 # A walkthrough of the whole network on one tiny story, phase by phase:
-# question encoder -> hierarchical document encoder -> attentive memory
-# steps -> attending answer decoder. The attention rows are probability
-# distributions you can read directly.
+# one word-level read of question and statements -> sentence-level
+# encoder -> attentive memory steps -> attending answer decoder. The
+# attention rows are probability distributions you can read directly.
 
 import numpy as np
 
 from amnet.data import EOS, EncodedExample, Vocabulary, make_batch
 from amnet.model import (
-    ModelConfig, decode_greedy, encode_document, encode_question, forward_example,
+    ModelConfig, decode_greedy, encode_document, forward_example,
     init_params, memory_module,
 )
 
@@ -29,12 +29,11 @@ print("story:    ", story)
 print("question: ", question)
 print()
 
-h_que = encode_question(batch.question, batch.question_mask, params, config)
+# one word-level read of the batch's table: the statements and the question
+h_que, h_sen, h_final, n_sent = encode_document(
+    batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
+    batch.question_rows, params, config)
 print("question state: shape", h_que.shape, "norm %.3f" % np.linalg.norm(h_que.data))
-
-h_sen, h_final, n_sent = encode_document(batch.sentences, batch.sentence_word_mask,
-                                         batch.sentence_rows, batch.sentence_mask,
-                                         h_que, params, config)
 print("sentence states:", h_sen.shape, f"({n_sent} sentences x {config.size} dims)")
 
 memories, weights, _ = memory_module(h_que, h_sen, batch.sentence_mask,

@@ -13,7 +13,7 @@ import numpy as np
 
 from amnet.analysis import count_ops, instrument_ops
 from amnet.data import batchify, build_vocabulary, parse_babi_file
-from amnet.model import ModelConfig, encode_document, encode_question, init_params
+from amnet.model import ModelConfig, encode_document, init_params
 from amnet.synthetic import generate_task
 from amnet.tensor import MacCounter
 
@@ -54,11 +54,12 @@ for s in (2, 5, 10, 20, 50, 100):
           f"{r.baseline_memory:>10}  ratio {r.ratio:.4f}")
 print()
 
-# The word level reads each distinct sentence of a batch once: a padded
-# task-1 training batch repeats most of its sentence rows (the first
-# statements of a story recur in each of its questions, and short stories
-# pad with all-PAD rows), so reading per distinct row spends far fewer
-# MACs than the per-example formula, which prices every slot.
+# The word level reads each distinct sentence and question of a batch
+# once: a padded task-1 training batch repeats most of its sentence rows
+# (the first statements of a story recur in each of its questions, and
+# short stories pad with all-PAD rows) and asks few distinct questions,
+# so reading per distinct row spends far fewer MACs than the per-example
+# formula, which prices every slot and every question.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "qa1.txt"
     path.write_text("\n".join(generate_task(1, 1000, seed=0)) + "\n", encoding="utf-8")
@@ -69,22 +70,29 @@ b, s, lw = batch.story.shape
 task1 = ModelConfig(size=32, depth=1, memories=1, vocab_size=len(vocab),
                     max_sentence_len=lw, max_answer_len=1)
 params = init_params(task1)
-h_que = encode_question(batch.question, batch.question_mask, params, task1)
 
 
-def document_macs(sentences, word_mask, rows):
+def document_macs(sentences, word_mask, rows, question_rows):
     with MacCounter() as c:
-        encode_document(sentences, word_mask, rows, batch.sentence_mask, h_que, params, task1)
+        encode_document(sentences, word_mask, rows, batch.sentence_mask, question_rows,
+                        params, task1)
     return c.total
 
 
-per_slot = document_macs(batch.story.reshape(b * s, lw), batch.word_mask.reshape(b * s, lw),
-                         np.arange(b * s).reshape(b, s))
-per_row = document_macs(batch.sentences, batch.sentence_word_mask, batch.sentence_rows)
-f = count_ops(task1, (s, lw, batch.question.shape[1], 1))
+# per slot: one table row per story slot, then one per question
+per_slot = document_macs(np.concatenate([batch.story.reshape(b * s, lw), batch.question]),
+                         np.concatenate([batch.word_mask.reshape(b * s, lw),
+                                         batch.question_mask]),
+                         np.arange(b * s).reshape(b, s), b * s + np.arange(b))
+per_row = document_macs(batch.sentences, batch.sentence_word_mask, batch.sentence_rows,
+                        batch.question_rows)
+question_len = int(batch.question_mask.sum(axis=1).max())
+f = count_ops(task1, (s, lw, question_len, 1))
+every_slot = f.question_encoder + f.word_level_encoder + f.sentence_level_encoder
 print(f"one task-1 batch: {b} stories x {s} sentence slots = {b * s} slots, "
-      f"{int(batch.sentence_mask.sum())} real, {len(batch.sentences)} distinct rows")
-print("document encoder MACs (word level + sentence level):")
-print(f"  {'formula, every slot':<24}{b * (f.word_level_encoder + f.sentence_level_encoder):>10}")
+      f"{int(batch.sentence_mask.sum())} real; {len(batch.sentences)} distinct rows, "
+      f"{len(set(batch.question_rows.tolist()))} of them questions")
+print("encoder MACs (question, word level and sentence level):")
+print(f"  {'formula, every slot':<24}{b * every_slot:>10}")
 print(f"  {'read per slot':<24}{per_slot:>10}")
 print(f"  {'read per distinct row':<24}{per_row:>10}  ({per_row / per_slot:.2f} of per slot)")

@@ -175,17 +175,27 @@ def cmd_eval(args) -> int:
 
 def cmd_ask(args) -> int:
     """Answer '? question' lines over the statements told since the last 'reset'.
-    Each distinct statement's word-level vector is kept, so a question reads
-    only the statements new since the one before (`encode_document`)."""
+    Statements and questions share one table of distinct word sequences, and
+    each row's word-level vector is kept, so a question reads only the rows
+    new since the one before, itself among them (`encode_document`)."""
     from amnet.data import Batch, _padded
 
     ckpt = _load_with_vocab(args.model)
     vocab = ckpt.vocab
     statements: list[list[str]] = []
-    rows: list[int] = []  # per statement, its row among the story's distinct ones
+    rows: list[int] = []  # per statement, its row of the table
     distinct: dict[tuple, int] = {}
-    unread: list[list[int]] = []  # distinct statements told since the last question
+    unread: list[list[int]] = []  # rows added since the last question
     kept: list = []  # word-level vectors of the rows read so far
+
+    def row_of(tokens) -> int:
+        ids = vocab.encode(tokens)
+        key = tuple(ids)
+        if key not in distinct:
+            distinct[key] = len(distinct)
+            unread.append(ids)
+        return distinct[key]
+
     print("statements accumulate; '? <question>' asks, 'reset' clears, EOF exits")
     for line in sys.stdin:
         line = line.strip()
@@ -203,16 +213,15 @@ def cmd_ask(args) -> int:
             if not question:
                 print("(empty question)")
                 continue
-            ids = vocab.encode(question)
-            # a batch of the unread statements, its rows pointing into the
-            # whole story, and no answer
+            # a batch of the unread rows, its row indices pointing into the
+            # whole table, and no answer
+            question_row = row_of(question)
             sentences, word_mask = _padded(unread, max(map(len, unread), default=1))
-            batch = Batch(np.ones((1, len(rows))), np.array([ids]), np.ones((1, len(ids))),
-                          np.zeros((1, 0), np.int64), np.zeros((1, 0)), sentences, word_mask,
-                          np.array([rows]), [])
+            batch = Batch(np.ones((1, len(rows))), np.zeros((1, 0), np.int64), np.zeros((1, 0)),
+                          sentences, word_mask, np.array([rows]), np.array([question_row]), [])
             predictions, records = predict_batch(batch, ckpt.params, ckpt.config,
                                                  want_records=True, kept=kept)
-            unread = []
+            unread.clear()
             answer = " ".join(vocab.decode(predictions[0])) or "(no answer)"
             focus = int(records[0].memory_attention[-1].argmax())
             print(f"answer: {answer}")
@@ -223,12 +232,7 @@ def cmd_ask(args) -> int:
             print("(empty statement)")
             continue
         statements.append(statement)
-        ids = vocab.encode(statement)
-        key = tuple(ids)
-        if key not in distinct:
-            distinct[key] = len(distinct)
-            unread.append(ids)
-        rows.append(distinct[key])
+        rows.append(row_of(statement))
     return EXIT_OK
 
 

@@ -212,17 +212,18 @@ def split_train_val(examples):
 @dataclass
 class Batch:
     """Padded id arrays plus {0,1} masks marking real positions. Each distinct
-    sentence is stored once, in ``sentences``; ``story`` and ``word_mask`` are
-    that table gathered at ``sentence_rows``, padded slots sharing an all-PAD row."""
+    word sequence, statement or question, is stored once, in ``sentences``;
+    ``story``/``word_mask`` are that table gathered at ``sentence_rows``, padded
+    slots sharing an all-PAD row, and ``question``/``question_mask`` the same
+    table gathered at ``question_rows``."""
 
     sentence_mask: np.ndarray  # [B, S]
-    question: np.ndarray       # [B, Lq]
-    question_mask: np.ndarray  # [B, Lq]
     answer: np.ndarray         # [B, T] gold tokens then EOS, PAD beyond
     answer_mask: np.ndarray    # [B, T]
-    sentences: np.ndarray           # [U, Lw] int64, each distinct sentence once
+    sentences: np.ndarray           # [U, Lw] int64, each distinct word sequence once
     sentence_word_mask: np.ndarray  # [U, Lw]
     sentence_rows: np.ndarray       # [B, S] int64 row of ``sentences`` per slot
+    question_rows: np.ndarray       # [B] int64 row of ``sentences`` per question
     examples: list[EncodedExample]
 
     @property
@@ -240,9 +241,19 @@ class Batch:
         return self.sentence_word_mask[self.sentence_rows]
 
     @property
+    def question(self) -> np.ndarray:
+        """[B, Lw] int64 word ids per question."""
+        return self.sentences[self.question_rows]
+
+    @property
+    def question_mask(self) -> np.ndarray:
+        """[B, Lw] word mask per question."""
+        return self.sentence_word_mask[self.question_rows]
+
+    @property
     def max_id(self) -> int:
         """The largest token id of the sentences, questions and answers."""
-        return int(max(a.max(initial=0) for a in (self.sentences, self.question, self.answer)))
+        return int(max(a.max(initial=0) for a in (self.sentences, self.answer)))
 
 
 def _padded(rows, width: int, fill: int = PAD):
@@ -262,21 +273,21 @@ def make_batch(examples) -> Batch:
         raise DataError("cannot build an empty batch")
     s_max = max(len(e.story) for e in exs)
 
-    # the empty tuple is the all-PAD row, shared by every padded slot
+    # one table of word sequences, statements and questions alike; the empty
+    # tuple is the all-PAD row, shared by every padded slot
     table: dict[tuple, int] = {}
-    slots = []
+    slots, questions = [], []
     for e in exs:
         slots.append([table.setdefault(tuple(sent), len(table)) for sent in e.story])
         if len(e.story) < s_max:
             table.setdefault((), len(table))
+        questions.append(table.setdefault(tuple(e.question), len(table)))
     sentence_rows, sentence_mask = _padded(slots, s_max, table.get((), PAD))
-    question, question_mask = _padded([e.question for e in exs],
-                                      max(len(e.question) for e in exs))
     answers = [(*e.answer, EOS) for e in exs]
     answer, answer_mask = _padded(answers, max(map(len, answers)))
     sentences, sentence_word_mask = _padded(list(table), max(map(len, table), default=1))
-    return Batch(sentence_mask, question, question_mask, answer, answer_mask,
-                 sentences, sentence_word_mask, sentence_rows, exs)
+    return Batch(sentence_mask, answer, answer_mask, sentences, sentence_word_mask,
+                 sentence_rows, np.array(questions, dtype=np.int64), exs)
 
 
 def batchify(examples, batch_size: int = 50, seed: int = 0) -> list[Batch]:

@@ -1,9 +1,10 @@
 """The attentive memory network.
 
-Pipeline: a question encoder produces a query state; a word-level
-encoder (weight-tied with the question encoder) turns each sentence into
-one vector; a bidirectional sentence-level encoder, initialized from the
-question state, mixes those vectors; the memory module runs a few
+Pipeline: one word-level encoder pass reads each distinct statement and
+question of a batch once, so a question's final state (the query state)
+and each sentence's vector come from the same weights and the same read;
+a bidirectional sentence-level encoder, initialized from the question
+state, mixes the sentence vectors; the memory module runs a few
 attentive GRU steps over the sentence states, fed the question state at
 every step; the decoder runs attentive GRU steps over the memory states
 and projects each state onto the vocabulary.
@@ -228,7 +229,8 @@ def _read_words(ids: np.ndarray, mask, params: ModelParams, config: ModelConfig)
 
 def encode_question(question_ids, question_mask, params: ModelParams,
                     config: ModelConfig) -> Tensor:
-    """Final state of the (tied) encoder stack over the question, zero-initialized."""
+    """Final state of the (tied) encoder stack over question rows alone,
+    zero-initialized: the read `encode_document` makes of its whole table."""
     ids = np.atleast_2d(np.asarray(question_ids, dtype=np.int64))
     if ids.shape[1] == 0:
         raise ContractError("empty question")
@@ -240,30 +242,35 @@ def encode_question(question_ids, question_mask, params: ModelParams,
     return _read_words(ids, m, params, config)
 
 
-def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: Tensor,
+def encode_document(sentences, word_mask, sentence_rows, sentence_mask, question_rows,
                     params: ModelParams, config: ModelConfig, kept: list | None = None):
-    """Word-level then sentence-level encoding.
+    """The question encoding, then word-level and sentence-level encoding
+    of the story, from one read of a word table.
 
-    ``sentences`` [U, Lw] holds word ids, ``word_mask`` None or [U, Lw],
-    and ``sentence_rows`` [B, S] the row of ``sentences`` read at each
-    story slot: the word level runs once per row, however many slots
-    share it (a raw [S, Lw] story passes ``np.arange(S)``).
+    ``sentences`` [U, Lw] holds word ids, statements and questions alike,
+    ``word_mask`` None or [U, Lw]; ``sentence_rows`` [B, S] is the row read
+    at each story slot and ``question_rows`` [B] the row of each question.
+    The tied word-level encoder runs once per row, however many slots and
+    questions share it (a raw [S, Lw] story passes ``np.arange(S)``).
 
     ``kept``, for a story that grows between calls (`amn ask`), is a list
     of [k, e] arrays: the word-level vectors of the table rows read by
     earlier calls. ``sentences`` then holds only the rows after them, read
-    together and appended to ``kept``; ``sentence_rows`` index the whole table.
+    together and appended to ``kept``; the row indices address the whole table.
 
-    Returns (h_sen [B*S, e], h_sen_final [B, e], S): the sentence-level
-    states to attend over (row b*S+s is sentence s of example b) and the
-    fused final state. Both directions of the sentence-level encoder are
-    initialized from the question state.
+    Returns (h_que [B, e], h_sen [B*S, e], h_sen_final [B, e], S): the
+    question states, the sentence-level states to attend over (row b*S+s is
+    sentence s of example b) and the fused final state. Both directions of
+    the sentence-level encoder are initialized from the question state.
     """
     ids = np.asarray(sentences, dtype=np.int64)
     rows = np.atleast_2d(np.asarray(sentence_rows, dtype=np.int64))
+    questions = np.asarray(question_rows, dtype=np.int64).reshape(-1)
     s = rows.shape[1]
     if s == 0 or ids.shape[1] == 0:
         raise ContractError("empty document")
+    if len(questions) != len(rows):
+        raise ShapeError(f"{len(questions)} question rows for {len(rows)} stories")
     if sentence_mask is not None:
         sm = np.atleast_2d(np.asarray(sentence_mask, dtype=np.float64))
         if (sm.sum(axis=1) == 0).any():
@@ -271,19 +278,23 @@ def encode_document(sentences, word_mask, sentence_rows, sentence_mask, h_que: T
     else:
         sm = None
 
-    # word level over the rows not read yet, then one gather to the [B*S] slots
+    # word level over the rows not read yet, then gathers to the questions and
+    # the [B*S] slots
     wm = None if word_mask is None else np.asarray(word_mask, dtype=np.float64)
+    if kept is None and wm is not None and (wm[questions].sum(axis=1) == 0).any():
+        raise ContractError("a question in the batch has no tokens")
     table = None if kept and len(ids) == 0 else _read_words(ids, wm, params, config)
     if kept is not None:
         if table is not None:
             kept.append(table.data)
         table = constant(np.concatenate(kept))
+    h_que = take_rows(table, questions)
     h_wrd = take_rows(table, rows.reshape(-1))
 
     # sentence-level bidirectional pass: row b*S+s of h_wrd is step s of story b
     h_sen, h_sen_final = run_bidirectional(
         h_wrd, h_que, h_que, params.sentence_fwd, params.sentence_bwd, sm)
-    return h_sen, h_sen_final, s
+    return h_que, h_sen, h_sen_final, s
 
 
 class _Recurrence:
@@ -291,14 +302,15 @@ class _Recurrence:
     [B*k, e]: per step, the cell stack's top state is the candidate, which
     queries additive attention over the states, and proj(context ||
     candidate) becomes the output and the top layer's carried state. The
-    keys ``states @ W1`` are projected once. The cell is `amnet.gru`'s
+    keys ``states @ W1`` are projected once, and so is a fixed ``query``
+    input [B, d_in], which each `step` without an input takes. The cell is `amnet.gru`'s
     "Arithmetic": per step and layer one `_cell_steps` call with n = 1, and
     one `_cell_step_back` call back.
     Working arrays are step-major, sized for at most ``steps`` steps; `step`
     runs one, `backward` is BPTT over the steps run."""
 
     def __init__(self, states: np.ndarray, mask, first: np.ndarray, cell: StackSpec,
-                 att: AttentionParams, steps: int):
+                 att: AttentionParams, steps: int, query: np.ndarray | None = None):
         (b, e), rows = first.shape, states.shape[0]
         if rows == 0 or rows % b:
             raise ContractError(f"cannot split {rows} states into {b} groups")
@@ -334,14 +346,22 @@ class _Recurrence:
         self.cat = np.empty((steps, b, 2 * e), dt)         # context | candidate
         self.x: list[np.ndarray] = []                      # input of each step
         self.n = 0
+        self.query = query
+        if query is not None:  # its layer-0 projection, made once
+            self.query_pre = query @ self.layers[0][0] + self.layers[0][1]
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """One step on input ``x`` [B, d_in]; returns the output [B, e]."""
+    def step(self, x: np.ndarray | None = None) -> np.ndarray:
+        """One step on input ``x`` [B, d_in], or on the fixed query if None;
+        returns the output [B, e]."""
         t, e, top = self.n, self.e, self.depth - 1
-        self.x.append(x)
+        self.x.append(self.query if x is None else x)
         for li, (w, bias, _, u_h, half_u_zr) in enumerate(self.layers):
-            pre = np.matmul(x, w, out=self.pre[t, li])
-            pre += bias
+            pre = self.pre[t, li]
+            if li == 0 and x is None:
+                pre[...] = self.query_pre
+            else:
+                np.matmul(x, w, out=pre)
+                pre += bias
             x = self.cat[t, :, e:] if li == top else self.h[t + 1, li]
             _cell_steps(pre[None], self.h[t, li], half_u_zr, u_h, self.zr[t:t + 1, li],
                         self.rh[t:t + 1, li], self.cand[t:t + 1, li], x[None])
@@ -367,7 +387,9 @@ class _Recurrence:
         pre-activations; the callers check the outputs."""
         d, e, b, k, n = self.e, self.e, self.b, self.k, self.n
         cell = sum(3 * (w.shape[0] * d + d * d + d) for w, *_ in self.layers)
-        _count_macs(b * (k * e * e + n * (cell + e * e + 2 * k * e + 2 * e * e)))
+        # a fixed query's layer-0 projection is made once, not per step
+        once = 0 if self.query is None else 3 * self.layers[0][0].shape[0] * d
+        _count_macs(b * (k * e * e + once + n * (cell - once + e * e + 2 * k * e + 2 * e * e)))
         _finite(self.pre[:n], op)
         _finite(self.att_pre[:n], op)
 
@@ -445,9 +467,9 @@ def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tens
         raise ShapeError(f"memory query {h_que.shape} and start {h_sen_final.shape} "
                          f"for a {cell.layers[0].d_in}-input cell")
     rec = _Recurrence(h_sen.data, sentence_mask, h_sen_final.data, cell,
-                      params.memory_attention, config.memories)
+                      params.memory_attention, config.memories, query=h_que.data)
     for _ in range(config.memories):
-        rec.step(h_que.data)
+        rec.step()
     rec.check("memory_layer")
     n, b, e = rec.n, rec.b, rec.e
 
@@ -575,10 +597,9 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
     """
     if training and batch.max_id >= config.vocab_size:
         raise DataError(f"token id {batch.max_id} outside vocabulary of {config.vocab_size}")
-    h_que = encode_question(batch.question, batch.question_mask, params, config)
-    h_sen, h_sen_final, _ = encode_document(
+    h_que, h_sen, h_sen_final, _ = encode_document(
         batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
-        h_que, params, config)
+        batch.question_rows, params, config)
     memories, _, _ = memory_module(
         h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
     logits, _ = decode_teacher_forced(memories, batch.answer, params)
@@ -613,13 +634,12 @@ def predict_batch(batch, params: ModelParams, config: ModelConfig,
     """Inference only: free-running predictions, no loss.
 
     ``kept`` goes to `encode_document`, with a batch of the rows not yet
-    read whose ``sentence_rows`` index the whole table.
+    read whose ``sentence_rows`` and ``question_rows`` index the whole table.
     Returns (predictions, records) where records is None unless asked for.
     """
-    h_que = encode_question(batch.question, batch.question_mask, params, config)
-    h_sen, h_sen_final, _ = encode_document(
+    h_que, h_sen, h_sen_final, _ = encode_document(
         batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
-        h_que, params, config, kept)
+        batch.question_rows, params, config, kept)
     memories, mem_weights, mem_contexts = memory_module(
         h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
     tokens, fr_weights = decode_greedy(memories, params, config)

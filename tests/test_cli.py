@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import random
@@ -7,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amnet.cli
 import amnet.model
@@ -360,6 +363,50 @@ class TestAskCmd:
         assert "no statements" in out
 
 
+_ASK_WORDS = ("mary", "john", "sandra", "moved", "went", "to", "the", "kitchen", "garden",
+              "where", "is", "zorblax", "moonbase", "Mary", "it's")
+_words = st.lists(st.sampled_from(_ASK_WORDS), min_size=1, max_size=8).map(" ".join)
+# any characters but line breaks: `ask` reads its stdin line by line
+_free_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                     max_size=20)
+_ask_lines = st.lists(st.one_of(
+    _words,                                            # statements
+    _words.map("? {}".format), _free_text.map("?{}".format),  # questions
+    st.sampled_from(["reset", "", "   ", "...", "?", "? ?!", "?.", ";,:"]),
+    _free_text,                                        # punctuation, unicode, unknown words
+    st.builds(lambda w, n: " ".join([w] * n), st.sampled_from(_ASK_WORDS),
+              st.integers(300, 1_500)),                # very long lines
+), max_size=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lines=_ask_lines)
+def test_fuzzed_ask_input_answers_or_skips(trained, lines):
+    """`main` returns 0 and never raises on any mix of `ask` lines, and
+    answers each question with words asked after a statement since the last
+    `reset`."""
+    text = "\n".join(lines) + "\n"
+    told, want = False, 0
+    for line in io.StringIO(text):
+        line = line.strip()
+        if line == "reset":
+            told = False
+        elif line.startswith("?"):
+            want += told and bool(tokenize(line[1:]))
+        elif tokenize(line):
+            told = True
+    stdin, out = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(["ask", "--model", str(trained)]) == 0
+    finally:
+        sys.stdin = stdin
+    printed = out.getvalue().splitlines()
+    assert sum(l.startswith("answer: ") for l in printed) == want
+    assert sum(l.startswith("focus:  [") for l in printed) == want
+
+
 def _ask_session(seed: int = 0) -> list[str]:
     """A 66-statement story, `reset`, then 12 more statements, asking after
     1, 2 and 3 new statements in turn. Statements repeat (20 distinct ones)
@@ -382,20 +429,23 @@ def _ask_session(seed: int = 0) -> list[str]:
 
 
 def _ask_questions(lines):
-    """Per question: (the story so far, the statements new to it since the
-    previous question, each listed once and only if not told before)."""
+    """Per question: (the story so far, the question line, the lines new to
+    the word table since the previous question: statements, then the
+    question itself, each listed once and only if not told or asked before)."""
     story, seen, new, out = [], set(), [], []
     for line in lines:
         if line == "reset":
             story, seen, new = [], set(), []
-        elif line.startswith("?"):
+            continue
+        if not line.startswith("?"):
+            story.append(line)
+        key = tuple(tokenize(line))
+        if key not in seen:
+            seen.add(key)
+            new.append(line)
+        if line.startswith("?"):
             out.append((list(story), line, new))
             new = []
-        else:
-            story.append(line)
-            if line not in seen:
-                seen.add(line)
-                new.append(line)
     return out
 
 
@@ -466,19 +516,22 @@ class TestAskSession:
         monkeypatch.undo()
 
         ckpt = load_checkpoint(trained)
-        want = []
-        for _, _, new in _ask_questions(lines):
+        want, repeated = [], 0
+        for _, question, new in _ask_questions(lines):
             if not new:
                 want.append(0)
                 continue
+            # the new statements and a new question, read in one call
             ids = [ckpt.vocab.encode(tokenize(s)) for s in new]
             width = max(map(len, ids))
             padded = np.array([s + [0] * (width - len(s)) for s in ids])
             with MacCounter() as counter:
                 encode_question(padded, padded > 0, ckpt.params, ckpt.config)
             want.append(counter.total)
+            repeated += question not in new
         assert macs == want
-        assert want.count(0) > 5  # questions after repeats only
+        assert want.count(0) > 5  # repeated questions after repeats only: nothing read
+        assert repeated > 5  # a repeated question adds no row beside new statements
         after_reset = len(_ask_questions(lines[:lines.index("reset") + 1]))
         assert want[after_reset] > 0  # a story told again is read again
 

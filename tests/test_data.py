@@ -206,8 +206,10 @@ class TestBatching:
         encoded, _ = encode_all(sample_file)
         batch = make_batch(encoded * 3)
         rows = {tuple(r) for r in batch.sentences}
-        assert len(rows) == len(batch.sentences) == 6 + 1  # distinct sentences + all-PAD
-        assert set(np.unique(batch.sentence_rows)) == set(range(len(batch.sentences)))
+        # distinct sentences, the all-PAD row and the distinct questions
+        assert len(rows) == len(batch.sentences) == 6 + 1 + 3
+        read = np.concatenate([batch.sentence_rows.reshape(-1), batch.question_rows])
+        assert set(np.unique(read)) == set(range(len(batch.sentences)))
 
     def test_padded_slots_share_one_all_pad_row(self, sample_file):
         encoded, _ = encode_all(sample_file)
@@ -223,8 +225,34 @@ class TestBatching:
         encoded, _ = encode_all(sample_file)
         batch = make_batch([encoded[0], encoded[2], encoded[0]])
         assert batch.sentence_mask.all()
-        assert len(batch.sentences) == 4
+        assert len(batch.sentences) == 4 + 2  # distinct sentences and questions
         assert batch.sentence_word_mask.sum(axis=1).min() > 0
+
+    def test_equal_questions_share_one_row(self, sample_file):
+        encoded, _ = encode_all(sample_file)
+        # a copy of the first question that is not the same list
+        again = EncodedExample(encoded[2].story, encoded[2].line_numbers,
+                               list(encoded[0].question), encoded[2].answer, [])
+        batch = make_batch([encoded[0], encoded[1], again, encoded[0]])
+        q = batch.question_rows
+        assert q[0] == q[2] == q[3] != q[1]
+        assert len(set(q.tolist()) & set(batch.sentence_rows.reshape(-1).tolist())) == 0
+        for i, e in enumerate(batch.examples):
+            assert batch.question_mask[i].sum() == len(e.question)
+            np.testing.assert_array_equal(batch.question[i, :len(e.question)], e.question)
+            assert (batch.question[i, len(e.question):] == PAD).all()
+
+    def test_questions_never_take_the_all_pad_row(self, sample_file):
+        encoded, _ = encode_all(sample_file)
+        batch = make_batch(encoded * 2)
+        pad_row = batch.sentence_rows[batch.sentence_mask == 0][0]
+        assert pad_row not in batch.question_rows
+        assert (batch.question_mask.sum(axis=1) > 0).all()
+        # an empty question is the empty word sequence: the all-PAD row
+        empty = EncodedExample(encoded[0].story, encoded[0].line_numbers, [], [6], [])
+        batch = make_batch([encoded[1], empty])
+        assert batch.question_rows[1] == batch.sentence_rows[1, -1]
+        assert batch.question_mask[1].sum() == 0
 
     def test_answer_rows_end_with_eos(self, sample_file):
         encoded, _ = encode_all(sample_file)
@@ -392,18 +420,19 @@ class TestInternedLoading:
 
 
 def _reference_make_batch(examples):
-    """make_batch as a loop filling each array per example and per table row."""
+    """make_batch as a loop filling each array per example and per table row:
+    each example's statements, then its question, interned in one table."""
     exs = list(examples)
     b = len(exs)
     s_max = max(len(e.story) for e in exs)
-    w_max = max((len(sent) for e in exs for sent in e.story), default=1)
-    q_max = max(len(e.question) for e in exs)
+    w_max = max(len(sent) for e in exs for sent in (*e.story, e.question))
     t_max = max(len(e.answer) for e in exs) + 1
 
     sentence_rows = np.zeros((b, s_max), dtype=np.int64)
     sentence_mask = np.zeros((b, s_max), dtype=np.float64)
-    question = np.full((b, q_max), PAD, dtype=np.int64)
-    question_mask = np.zeros((b, q_max), dtype=np.float64)
+    question_rows = np.zeros(b, dtype=np.int64)
+    question = np.full((b, w_max), PAD, dtype=np.int64)
+    question_mask = np.zeros((b, w_max), dtype=np.float64)
     answer = np.full((b, t_max), PAD, dtype=np.int64)
     answer_mask = np.zeros((b, t_max), dtype=np.float64)
     table: dict[tuple, int] = {}
@@ -413,6 +442,7 @@ def _reference_make_batch(examples):
         if n < s_max:
             sentence_rows[i, n:] = table.setdefault((), len(table))
         sentence_mask[i, :n] = 1.0
+        question_rows[i] = table.setdefault(tuple(e.question), len(table))
         question[i, :len(e.question)] = e.question
         question_mask[i, :len(e.question)] = 1.0
         gold = list(e.answer) + [EOS]
@@ -425,7 +455,8 @@ def _reference_make_batch(examples):
         sentence_word_mask[r, :len(sent)] = 1.0
     return dict(sentence_mask=sentence_mask, question=question, question_mask=question_mask,
                 answer=answer, answer_mask=answer_mask, sentences=sentences,
-                sentence_word_mask=sentence_word_mask, sentence_rows=sentence_rows)
+                sentence_word_mask=sentence_word_mask, sentence_rows=sentence_rows,
+                question_rows=question_rows)
 
 
 def _assert_matches_reference(examples):

@@ -43,10 +43,10 @@ def toy_example(rng, n_sent=2, sent_len=3, q_len=3, ans_len=1, vocab=14):
     )
 
 
-def read_document(batch, h_que, params, config):
-    """`encode_document` over a batch's sentence table."""
+def read_document(batch, params, config):
+    """`encode_document` over a batch's word table: (h_que, h_sen, h_final, S)."""
     return encode_document(batch.sentences, batch.sentence_word_mask, batch.sentence_rows,
-                           batch.sentence_mask, h_que, params, config)
+                           batch.sentence_mask, batch.question_rows, params, config)
 
 
 class TestModelConfig:
@@ -186,8 +186,7 @@ class TestEncoders:
         ex = EncodedExample(story=[[5, 6]], line_numbers=[1], question=[5],
                             answer=[4], supporting=[0])
         batch = make_batch([ex])
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, _, _ = read_document(batch, h_que, params, config)
+        h_que, h_sen, _, _ = read_document(batch, params, config)
         assert h_sen.data.shape == (1, 6)
 
     def test_word_permutation_changes_only_its_sentence_row(self, setup):
@@ -212,8 +211,7 @@ class TestEncoders:
         config, params, rng = setup
         ex = toy_example(rng, n_sent=3, sent_len=4)
         batch = make_batch([ex])
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, s = read_document(batch, h_que, params, config)
+        h_que, h_sen, h_final, s = read_document(batch, params, config)
         # manual: word-level per sentence, then bidirectional over the vectors
         sent_vecs = []
         for sent in ex.story:
@@ -229,8 +227,7 @@ class TestEncoders:
         config, params, rng = setup
         ex = toy_example(rng, n_sent=1)
         batch = make_batch([ex])
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, s = read_document(batch, h_que, params, config)
+        h_que, h_sen, h_final, s = read_document(batch, params, config)
         assert h_sen.shape == (1, 6) and s == 1
 
     def test_empty_inputs_rejected(self, setup):
@@ -239,7 +236,12 @@ class TestEncoders:
             encode_question(np.zeros((1, 0), dtype=int), None, params, config)
         with pytest.raises(ContractError):
             encode_document(np.zeros((0, 3), dtype=int), None, np.zeros((1, 0), dtype=int),
-                            None, Tensor(np.zeros((1, 6))), params, config)
+                            None, [0], params, config)
+        # an empty question is the table's all-PAD row: refused, not read
+        empty = EncodedExample(story=[[5, 6]], line_numbers=[1], question=[], answer=[4],
+                               supporting=[0])
+        with pytest.raises(ContractError, match="question"):
+            forward_batch(make_batch([empty, toy_example(rng)]), params, config)
 
 
 class TestMemoryModule:
@@ -248,8 +250,7 @@ class TestMemoryModule:
         config = toy_config(memories=m)
         ex = toy_example(rng, n_sent=n_sent)
         batch = make_batch([ex])
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = read_document(batch, h_que, params, config)
+        h_que, h_sen, h_final, _ = read_document(batch, params, config)
         out = memory_module(h_que, h_sen, batch.sentence_mask, h_final, params, config)
         return out, h_que, h_sen, h_final, batch
 
@@ -295,8 +296,7 @@ class TestDecoder:
         ex = toy_example(rng)
         ex.answer = list(ans)
         batch = make_batch([ex])
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = read_document(batch, h_que, params, config)
+        h_que, h_sen, h_final, _ = read_document(batch, params, config)
         memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask,
                                        h_final, params, config)
         return config, params, batch, memories
@@ -486,8 +486,7 @@ class TestAttentiveOps:
         _, params, rng = setup
         config = toy_config(memories=3)
         batch = make_batch([toy_example(rng, n_sent=4, ans_len=2)])
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = read_document(batch, h_que, params, config)
+        h_que, h_sen, h_final, _ = read_document(batch, params, config)
         with Tape() as tape:
             memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask, h_final,
                                            params, config)
@@ -497,8 +496,9 @@ class TestAttentiveOps:
         assert len(tape.nodes) == 2 and tape.nodes[1].output is logits
         assert logits.shape == (3, 14)  # B=1 x 3 answer positions
 
-    def test_task1_shaped_batch_records_18_nodes(self):
-        # question 3, document 9, memory 1, decoder 1, loss 4 (one pass over all positions)
+    def test_task1_shaped_batch_records_16_nodes(self):
+        # document 10 (one word-level read of statements and questions, with
+        # the question gather), memory 1, decoder 1, loss 4 (one pass over all positions)
         config = toy_config(size=32, memories=1, vocab_size=14, max_answer_len=1)
         params = init_params(config, seed=0)
         rng = np.random.default_rng(5)
@@ -506,7 +506,7 @@ class TestAttentiveOps:
                             for n in (2, 7, 4, 10, 5)])
         with Tape() as tape:
             forward_batch(batch, params, config, training=True)
-        assert len(tape.nodes) == 18
+        assert len(tape.nodes) == 16
 
     def test_story_row_without_live_state_rejected(self, setup):
         config, params, rng = setup
@@ -520,8 +520,7 @@ class TestAttentiveOps:
     def test_non_finite_pre_activation_names_the_op(self, setup):
         config, params, rng = setup
         batch = make_batch([toy_example(rng, n_sent=3)])
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = read_document(batch, h_que, params, config)
+        h_que, h_sen, h_final, _ = read_document(batch, params, config)
         params.memory_attention.w1.data[0, 0] = np.inf
         with pytest.raises(NumericError, match="memory_layer"):
             memory_module(h_que, h_sen, batch.sentence_mask, h_final, params, config)
@@ -568,8 +567,7 @@ class TestForward:
         big = toy_example(rng, n_sent=4, sent_len=5, q_len=4, ans_len=2)
         batch = make_batch([ex, big])
         assert batch.story.shape == (2, 4, 5)
-        h_que = encode_question(batch.question, batch.question_mask, params, config)
-        h_sen, h_final, _ = read_document(batch, h_que, params, config)
+        h_que, h_sen, h_final, _ = read_document(batch, params, config)
         memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask,
                                        h_final, params, config)
         logits, _ = decode_teacher_forced(memories, batch.answer, params)
@@ -621,11 +619,13 @@ def shared_batch():
 
 
 def unshared(batch):
-    """The same batch with one table row per story slot."""
+    """The same batch with one table row per story slot, then one per question."""
     b, s, lw = batch.story.shape
-    return dataclasses.replace(batch, sentences=batch.story.reshape(b * s, lw),
-                               sentence_word_mask=batch.word_mask.reshape(b * s, lw),
-                               sentence_rows=np.arange(b * s).reshape(b, s))
+    return dataclasses.replace(
+        batch, sentences=np.concatenate([batch.story.reshape(b * s, lw), batch.question]),
+        sentence_word_mask=np.concatenate([batch.word_mask.reshape(b * s, lw),
+                                           batch.question_mask]),
+        sentence_rows=np.arange(b * s).reshape(b, s), question_rows=b * s + np.arange(b))
 
 
 class TestSharedSentences:
@@ -634,7 +634,7 @@ class TestSharedSentences:
         config = toy_config(depth=depth, memories=2)
         params = init_params(config, seed=3, dtype=np.float64)
         batch = shared_batch()
-        assert len(batch.sentences) == 4  # three sentences and the all-PAD row
+        assert len(batch.sentences) == 6  # three sentences, the all-PAD row, two questions
         results = []
         for bt in (batch, unshared(batch)):
             for t in params.tensors():
@@ -664,17 +664,84 @@ class TestSharedSentences:
 
     def test_identical_sentences_cost_one_row(self, setup):
         config, params, rng = setup
-        h_que = encode_question(np.array([[4, 5]]), None, params, config)
-        sent = np.array([[4, 9, 11, 6]])
+        sent = np.array([[4, 9, 11, 6]])  # asked as the question too
         with MacCounter() as shared:
-            encode_document(sent, None, np.zeros((1, 4), dtype=int), None, h_que, params, config)
+            encode_document(sent, None, np.zeros((1, 4), dtype=int), None, [0], params, config)
         with MacCounter() as per_slot:
-            encode_document(np.repeat(sent, 4, axis=0), None, np.arange(4), None, h_que,
+            encode_document(np.repeat(sent, 5, axis=0), None, np.arange(4), None, [4],
                             params, config)
         with MacCounter() as one_row:
             encode_question(sent, None, params, config)
         assert one_row.total == 4 * stack_macs(6, 6, 1)
-        assert per_slot.total - shared.total == 3 * one_row.total
+        assert per_slot.total - shared.total == 4 * one_row.total
+
+
+def shared_question_batch(b, seed, vocab=20):
+    """B examples of 2-4 statements whose questions repeat (every third
+    example asks the first example's question list)."""
+    rng = np.random.default_rng(seed)
+    exs = [toy_example(rng, n_sent=int(rng.integers(2, 5)), sent_len=int(rng.integers(3, 7)),
+                       q_len=int(rng.integers(2, 6)), vocab=vocab) for _ in range(b)]
+    for ex in exs[3::3]:
+        ex.question = exs[0].question
+    return make_batch(exs)
+
+
+class TestQuestionRows:
+    """The question is a row of the batch's word table, read with the statements."""
+
+    @pytest.mark.parametrize("depth, b", itertools.product((1, 2), (1, 7, 50)))
+    def test_h_que_equals_encode_question_bit_for_bit(self, depth, b):
+        config = toy_config(size=32, depth=depth, vocab_size=20)
+        params = init_params(config, seed=depth + b)
+        batch = shared_question_batch(b, seed=b)
+        h_que, *_ = read_document(batch, params, config)
+        want = encode_question(batch.question, batch.question_mask, params, config)
+        assert h_que.data.dtype == want.data.dtype == np.float32
+        np.testing.assert_array_equal(h_que.data, want.data)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_one_word_level_read_per_batch(self, depth, monkeypatch):
+        import amnet.gru
+
+        config = toy_config(depth=depth)
+        params = init_params(config, seed=0)
+        batch = shared_question_batch(7, seed=1, vocab=14)
+        calls, inside = [], []
+
+        def sequence(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_sequence(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def layer(x, h0, p, rev=None):
+            calls.append((bool(inside), x.shape[0]))
+            return real_layer(x, h0, p, rev)
+
+        def no_question_read(*args, **kwargs):
+            raise AssertionError("forward_batch read the questions apart")
+
+        real_sequence, real_layer = model_module.run_sequence, amnet.gru.gru_layer
+        monkeypatch.setattr(model_module, "run_sequence", sequence)
+        monkeypatch.setattr(amnet.gru, "gru_layer", layer)
+        monkeypatch.setattr(model_module, "encode_question", no_question_read)
+        forward_batch(batch, params, config)
+        word_level = [rows for inner, rows in calls if inner]
+        # one call per encoder layer, over every row of the table at once
+        assert word_level == [batch.sentences.size] * depth
+        assert len(calls) == 2 * depth  # and the sentence-level pair
+
+    def test_gradient_through_a_shared_question_row(self):
+        config = toy_config(size=5, memories=2)
+        params = init_params(config, seed=4, dtype=np.float64)
+        batch = shared_question_batch(4, seed=2, vocab=14)
+        assert batch.question_rows[0] == batch.question_rows[3]
+        tensors = [params.embedding] + [t for _, t in params.encoder.named("encoder")]
+        err = grad_check(lambda *ts: forward_batch(batch, params, config).loss, tensors,
+                         epsilon=1e-4)
+        assert err < 1e-4
 
 
 class TestCheckpoint:
