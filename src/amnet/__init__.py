@@ -17,9 +17,9 @@ from amnet.data import (
 )
 from amnet.gru import GruParams, StackSpec, gru_step, run_bidirectional, run_sequence
 from amnet.model import (
-    AttentionRecord, ModelConfig, ModelParams, attend, attentive_cell_step,
-    encode_document, encode_question, forward_batch, forward_example,
-    init_params, load_checkpoint, memory_module, predict_batch, save_checkpoint,
+    AttentionRecord, ModelConfig, ModelParams, encode_document, encode_question,
+    forward_batch, forward_example, init_params, load_checkpoint, memory_module,
+    predict_batch, save_checkpoint,
 )
 from amnet.synthetic import write_task_files
 from amnet.tensor import MacCounter, Tape, Tensor, grad_check
@@ -28,8 +28,7 @@ from amnet.training import TrainConfig, adam_step, clip_gradients, evaluate, tra
 __all__ = [
     "AttentionRecord", "Example", "GruParams", "MacCounter", "ModelConfig",
     "ModelParams", "StackSpec", "Tape", "Tensor", "TrainConfig", "Vocabulary",
-    "adam_step", "attend", "attentive_cell_step",
-    "batchify", "build_vocabulary", "clip_gradients", "count_ops",
+    "adam_step", "batchify", "build_vocabulary", "clip_gradients", "count_ops",
     "encode_document", "encode_question", "evaluate",
     "export_attention", "forward_batch", "forward_example", "grad_check",
     "gru_step", "init_params", "instrument_ops", "load_checkpoint",

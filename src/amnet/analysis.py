@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from amnet.data import EOS, DataError, _padded, find_task_file, load_task_data
+from amnet.data import EOS, TASK_NAMES, DataError, _padded, find_task_file, load_task_data
 from amnet.gru import run_sequence
 from amnet.model import (
     AttentionRecord, ModelConfig, decode_teacher_forced, encode_document,
@@ -33,16 +33,6 @@ __all__ = [
 ]
 
 SOLVED_THRESHOLD = 0.05
-
-TASK_NAMES = {
-    1: "single supporting fact", 2: "two supporting facts", 3: "three supporting facts",
-    4: "two arg relations", 5: "three arg relations", 6: "yes-no questions",
-    7: "counting", 8: "lists sets", 9: "simple negation", 10: "indefinite knowledge",
-    11: "basic coreference", 12: "conjunction", 13: "compound coreference",
-    14: "time reasoning", 15: "basic deduction", 16: "basic induction",
-    17: "positional reasoning", 18: "size reasoning", 19: "path finding",
-    20: "agents motivations",
-}
 
 # per task: embedding/state size, stack depth, memory steps, batch budget
 TASK_SETTINGS = {

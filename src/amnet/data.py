@@ -123,9 +123,6 @@ class Vocabulary:
         return [EncodedExample([ids(s) for s in ex.story], ex.line_numbers, ids(ex.question),
                                ids(ex.answer), ex.supporting) for ex in exs]
 
-    def encode_example(self, ex: Example, strict: bool = False) -> EncodedExample:
-        return self.encode_examples([ex], strict)[0]
-
 
 def parse_babi_file(path) -> list[Example]:
     """Each distinct statement, question and answer text of the file is
@@ -304,14 +301,15 @@ def batchify(examples, batch_size: int = 50, seed: int = 0) -> list[Batch]:
 # task loading
 
 
-TASK_SLUGS = {
-    1: "single-supporting-fact", 2: "two-supporting-facts", 3: "three-supporting-facts",
-    4: "two-arg-relations", 5: "three-arg-relations", 6: "yes-no-questions",
-    7: "counting", 8: "lists-sets", 9: "simple-negation", 10: "indefinite-knowledge",
-    11: "basic-coreference", 12: "conjunction", 13: "compound-coreference",
-    14: "time-reasoning", 15: "basic-deduction", 16: "basic-induction",
-    17: "positional-reasoning", 18: "size-reasoning", 19: "path-finding",
-    20: "agents-motivations",
+# the 20 bAbi task names; a task's file slug is its name with hyphens for spaces
+TASK_NAMES = {
+    1: "single supporting fact", 2: "two supporting facts", 3: "three supporting facts",
+    4: "two arg relations", 5: "three arg relations", 6: "yes-no questions",
+    7: "counting", 8: "lists sets", 9: "simple negation", 10: "indefinite knowledge",
+    11: "basic coreference", 12: "conjunction", 13: "compound coreference",
+    14: "time reasoning", 15: "basic deduction", 16: "basic induction",
+    17: "positional reasoning", 18: "size reasoning", 19: "path finding",
+    20: "agents motivations",
 }
 
 

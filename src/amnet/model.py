@@ -15,8 +15,9 @@ concatenated context and candidate state back to width e. The memory
 module and the decoder are each one tape op (`memory_module`,
 `_decoder_layer`) whose forward is plain numpy that projects the attention
 keys once per call and whose backward is BPTT; their GRU cell is the
-kernels of `amnet.gru` (its "Arithmetic"). One embedding matrix serves
-question, document and answer tokens.
+kernels of `amnet.gru` (its "Arithmetic"). They are the package's only
+attentive step; the tests check them against the same step composed of
+tape ops. One embedding matrix serves question, document and answer tokens.
 
 Everything is batch-first ([B, e] states); single-example calls use B=1.
 A batch's rows live in one tensor, example-major: the sentence states
@@ -36,20 +37,19 @@ import numpy as np
 
 from amnet.data import EOS, GO, DataError, Vocabulary, make_batch
 from amnet.gru import (
-    ConfigError, GruParams, StackSpec, _cell_step_back, _cell_steps, _u_grad, gru_step,
+    ConfigError, GruParams, StackSpec, _cell_step_back, _cell_steps, _u_grad,
     run_bidirectional, run_sequence,
 )
+from amnet.gru import gru_step  # unused here: perfbench/tracing.py patches this name
 from amnet.tensor import (
-    ContractError, MaskError, ShapeError, Tensor, _count_macs, _emit, _finite, _wrap, add,
-    concat_cols, constant, cross_entropy_rows, matmul, mix_rows, mul, repeat_rows,
-    reshape, scale, softmax_masked, sum_all, take_rows, tanh,
+    ContractError, MaskError, ShapeError, Tensor, _count_macs, _emit, _finite, _wrap,
+    constant, cross_entropy_rows, mul, scale, sum_all, take_rows,
 )
 
 __all__ = [
     "AttentionParams", "AttentionRecord", "Checkpoint", "CheckpointError",
-    "ForwardResult", "ModelConfig", "ModelParams", "attend",
-    "attentive_cell_step", "decode_greedy", "decode_teacher_forced",
-    "encode_document", "encode_question", "forward_batch",
+    "ForwardResult", "ModelConfig", "ModelParams", "decode_greedy",
+    "decode_teacher_forced", "encode_document", "encode_question", "forward_batch",
     "forward_example", "init_params", "load_checkpoint", "memory_module",
     "save_checkpoint",
 ]
@@ -160,58 +160,6 @@ class AttentionRecord:
     memory_attention: np.ndarray    # [m, |S|], each row sums to 1
     decoder_attention: np.ndarray   # [T, m], each row sums to 1
     memory_contexts: np.ndarray     # [m, e]
-
-
-def attend(query: Tensor, states: Tensor, params: AttentionParams,
-           mask=None, k: int | None = None):
-    """Additive attention of ``query`` [B, e] over ``states`` [B*k, e], as
-    composed tape ops (the model runs it inside `memory_module` and
-    `_decoder_layer`, which compute the same values).
-
-    Returns (context [B, e], weights [B, k]). ``mask`` ([B, k]) hides
-    padded states; with B=1 this is plain attention over k state rows.
-    """
-    b = query.shape[0]
-    rows = states.shape[0]
-    if k is None:
-        if rows == 0 or rows % b:
-            raise ContractError(f"cannot split {rows} states into {b} groups")
-        k = rows // b
-    if k < 1:
-        raise ContractError("attend needs at least one state")
-    if rows != b * k:
-        raise ShapeError(f"{rows} state rows do not match batch {b} x k {k}")
-    scores = matmul(states, params.w1)
-    qpart = repeat_rows(matmul(query, params.w2), k)
-    u = matmul(tanh(add(scores, qpart)), params.v)
-    weights = softmax_masked(reshape(u, (b, k)),
-                             np.ones((b, k)) if mask is None else mask)
-    return mix_rows(weights, states), weights
-
-
-def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
-                        att: AttentionParams, mask=None, k: int | None = None):
-    """One attentive recurrent step: candidate = gru(x, h); attend with the
-    candidate as query; output = proj(context || candidate). Composed tape
-    ops: the reference for a step of `memory_module` and `_decoder_layer`.
-
-    ``h_prev`` is a [B, e] tensor (depth 1) or a per-layer list. Returns
-    (output, new_states, weights, context); the output replaces the top
-    layer's carried state.
-    """
-    hs = [h_prev] if isinstance(h_prev, Tensor) else list(h_prev)
-    if len(hs) != cell.depth:
-        raise ShapeError(f"{len(hs)} states for a depth-{cell.depth} cell")
-    new_hs: list[Tensor] = []
-    inp = x
-    for layer, h in zip(cell.layers, hs):
-        inp = gru_step(inp, h, layer)
-        new_hs.append(inp)
-    candidate = new_hs[-1]
-    context, weights = attend(candidate, states, att, mask, k)
-    out = matmul(concat_cols(context, candidate), att.proj)
-    new_hs[-1] = out
-    return out, new_hs, weights, context
 
 
 def _zeros_like_state(batch: int, e: int, dtype) -> Tensor:
@@ -811,7 +759,10 @@ def _read_checkpoint(fh):
         raise CheckpointError(str(exc)) from None
     vocab = None
     if "vocab" in fields:
-        vocab = Vocabulary(fields["vocab"].split())
+        try:
+            vocab = Vocabulary(fields["vocab"].split())
+        except DataError as exc:
+            raise CheckpointError(f"stored vocabulary: {exc}") from None
         if len(vocab) != config.vocab_size:
             raise CheckpointError("stored vocabulary disagrees with vocab_size")
     # the config fixes every array's shape: check the sizes before reading

@@ -14,14 +14,12 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["generate_task", "write_task_files", "GENERATED_TASKS"]
+__all__ = ["generate_task", "write_task_files"]
 
 ACTORS = ("Mary", "John", "Daniel", "Sandra")
 LOCATIONS = ("bathroom", "bedroom", "garden", "hallway", "kitchen", "office")
 VERBS = ("moved", "went", "journeyed", "travelled")
 RELATIONS = ("north", "south", "east", "west")
-
-GENERATED_TASKS = (1, 4, 12)
 
 
 def _movement_story(rng: np.random.Generator, together: bool) -> list[str]:
@@ -90,16 +88,18 @@ def generate_task(task: int, n_questions: int, seed: int = 0) -> list[str]:
 
 def write_task_files(data_dir, task: int, n_train: int = 10_000, n_test: int = 1_000,
                      seed: int = 0):
-    """Write qa{task}_<slug>_{train,test}.txt into data_dir; returns both paths."""
+    """Write qa{task}_<slug>_{train,test}.txt into data_dir, the slug being
+    the task's name with hyphens for spaces; returns both paths."""
     from pathlib import Path
 
-    from amnet.data import TASK_SLUGS
+    from amnet.data import TASK_NAMES
 
+    slug = TASK_NAMES[task].replace(" ", "-")
     out = Path(data_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for split, n, s in (("train", n_train, seed), ("test", n_test, seed + 1)):
-        path = out / f"qa{task}_{TASK_SLUGS[task]}_{split}.txt"
+        path = out / f"qa{task}_{slug}_{split}.txt"
         path.write_text("\n".join(generate_task(task, n, seed=s)) + "\n", encoding="utf-8")
         paths.append(path)
     return tuple(paths)

@@ -268,9 +268,12 @@ def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, where):
     lambda raw: raw[:5],
     _swap(b"size=8", b"sizz=8"),
     _swap(b"vocab=a b c d e f", b"vocab=a b c d eff"),
+    _swap(b"vocab=a b c d e f", b"vocab=a b c d e e"),
+    _swap(b"vocab=a b c d e f", b"vocab=ab <go> e f"),
     _swap(b"embedding\x02" + struct.pack("<2I", 10, 8),
           b"embedding\x02" + struct.pack("<2I", 8, 10)),
-], ids=["magic", "version", "truncated", "config-field", "vocab-size", "array-shape"])
+], ids=["magic", "version", "truncated", "config-field", "vocab-size", "vocab-duplicate",
+        "vocab-reserved", "array-shape"])
 def test_checkpoint_errors_name_the_file(tmp_path, capsys, monkeypatch, damage):
     path = _corrupt_checkpoint(tmp_path, damage)
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))

@@ -164,7 +164,7 @@ class TestSplit:
 def encode_all(path):
     examples = parse_babi_file(path)
     vocab = build_vocabulary(examples)
-    return [vocab.encode_example(e, strict=True) for e in examples], vocab
+    return [vocab.encode_examples([e], strict=True)[0] for e in examples], vocab
 
 
 class TestBatching:
@@ -299,6 +299,13 @@ class TestSyntheticGenerator:
         text = "\n".join(generate_task(task, n, seed))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("task, slug", [
+        (1, "single-supporting-fact"), (4, "two-arg-relations"), (12, "conjunction")])
+    def test_file_names_are_pinned(self, tmp_path, task, slug):
+        paths = write_task_files(tmp_path, task, n_train=5, n_test=5, seed=0)
+        assert [p.name for p in paths] == [f"qa{task}_{slug}_train.txt",
+                                           f"qa{task}_{slug}_test.txt"]
+
     def test_task1_answer_is_latest_location(self, tmp_path):
         train, _ = write_task_files(tmp_path, 1, n_train=500, n_test=5, seed=11)
         for ex in parse_babi_file(train):
@@ -416,7 +423,7 @@ class TestInternedLoading:
                           list(ex.question), list(ex.answer), list(ex.supporting))
                   for ex in raw]
         assert vocab.encode_examples(copies) == vocab.encode_examples(raw)
-        assert [vocab.encode_example(ex) for ex in copies] == vocab.encode_examples(raw)
+        assert [vocab.encode_examples([ex])[0] for ex in copies] == vocab.encode_examples(raw)
 
 
 def _reference_make_batch(examples):

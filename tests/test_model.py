@@ -14,14 +14,14 @@ from amnet.data import EOS, GO, EncodedExample, Vocabulary, make_batch
 from amnet.gru import ConfigError, StackSpec, gru_step, run_bidirectional, run_sequence
 from amnet.model import (
     AttentionParams, Checkpoint, CheckpointError, ModelConfig, ModelParams,
-    attend, attentive_cell_step, cut_at_eos, decode_greedy,
-    decode_teacher_forced, encode_document, encode_question, forward_batch,
-    forward_example, init_params, load_checkpoint, memory_module,
+    cut_at_eos, decode_greedy, decode_teacher_forced, encode_document, encode_question,
+    forward_batch, forward_example, init_params, load_checkpoint, memory_module,
     predict_batch, save_checkpoint,
 )
 from amnet.tensor import (
     ContractError, MacCounter, MaskError, NumericError, ShapeError, Tape, Tensor, add,
-    grad_check, interleave_rows, matmul, mul, sum_all, take_rows,
+    concat_cols, grad_check, interleave_rows, matmul, mix_rows, mul, repeat_rows, reshape,
+    softmax_masked, sum_all, take_rows, tanh,
 )
 
 
@@ -353,6 +353,58 @@ class TestDecoder:
         rows = np.random.default_rng(0).integers(0, 6, size=(200, 4))
         want = [list(r[:list(r).index(EOS)]) if EOS in r else list(r) for r in rows]
         assert cut_at_eos(rows) == want
+
+
+def attend(query: Tensor, states: Tensor, params: AttentionParams,
+           mask=None, k: int | None = None):
+    """Additive attention of ``query`` [B, e] over ``states`` [B*k, e], as
+    composed tape ops: the reference for the attention inside
+    `memory_module` and `_decoder_layer`, which compute the same values.
+
+    Returns (context [B, e], weights [B, k]). ``mask`` ([B, k]) hides
+    padded states; with B=1 this is plain attention over k state rows.
+    """
+    b = query.shape[0]
+    rows = states.shape[0]
+    if k is None:
+        if rows == 0 or rows % b:
+            raise ContractError(f"cannot split {rows} states into {b} groups")
+        k = rows // b
+    if k < 1:
+        raise ContractError("attend needs at least one state")
+    if rows != b * k:
+        raise ShapeError(f"{rows} state rows do not match batch {b} x k {k}")
+    scores = matmul(states, params.w1)
+    qpart = repeat_rows(matmul(query, params.w2), k)
+    u = matmul(tanh(add(scores, qpart)), params.v)
+    weights = softmax_masked(reshape(u, (b, k)),
+                             np.ones((b, k)) if mask is None else mask)
+    return mix_rows(weights, states), weights
+
+
+def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
+                        att: AttentionParams, mask=None, k: int | None = None):
+    """One attentive recurrent step: candidate = gru(x, h); attend with the
+    candidate as query; output = proj(context || candidate). Composed tape
+    ops: the reference for a step of `memory_module` and `_decoder_layer`.
+
+    ``h_prev`` is a [B, e] tensor (depth 1) or a per-layer list. Returns
+    (output, new_states, weights, context); the output replaces the top
+    layer's carried state.
+    """
+    hs = [h_prev] if isinstance(h_prev, Tensor) else list(h_prev)
+    if len(hs) != cell.depth:
+        raise ShapeError(f"{len(hs)} states for a depth-{cell.depth} cell")
+    new_hs: list[Tensor] = []
+    inp = x
+    for layer, h in zip(cell.layers, hs):
+        inp = gru_step(inp, h, layer)
+        new_hs.append(inp)
+    candidate = new_hs[-1]
+    context, weights = attend(candidate, states, att, mask, k)
+    out = matmul(concat_cols(context, candidate), att.proj)
+    new_hs[-1] = out
+    return out, new_hs, weights, context
 
 
 def composed_memory(h_que, h_sen, mask, h_final, params, config):
