@@ -31,12 +31,12 @@ print()
 
 # one word-level read of the batch's table: the statements and the question
 h_que, h_sen, h_final, n_sent = encode_document(
-    batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
+    batch.sentences, batch.word_lengths, batch.sentence_rows, batch.story_lengths,
     batch.question_rows, params, config)
 print("question state: shape", h_que.shape, "norm %.3f" % np.linalg.norm(h_que.data))
 print("sentence states:", h_sen.shape, f"({n_sent} sentences x {config.size} dims)")
 
-memories, weights, _ = memory_module(h_que, h_sen, batch.sentence_mask,
+memories, weights, _ = memory_module(h_que, h_sen, batch.story_lengths,
                                      h_final, params, config)
 print("memories:", memories.shape, f"({config.memories} steps x {config.size} dims)")
 for i, w in enumerate(weights[:, 0], 1):  # weights: [steps, batch, sentences]

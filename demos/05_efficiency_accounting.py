@@ -72,25 +72,23 @@ task1 = ModelConfig(size=32, depth=1, memories=1, vocab_size=len(vocab),
 params = init_params(task1)
 
 
-def document_macs(sentences, word_mask, rows, question_rows):
+def document_macs(table_rows, rows, question_rows):
+    """MACs of one `encode_document` call over the batch's table rows ``table_rows``."""
     with MacCounter() as c:
-        encode_document(sentences, word_mask, rows, batch.sentence_mask, question_rows,
-                        params, task1)
+        encode_document(batch.sentences[table_rows], batch.word_lengths[table_rows], rows,
+                        batch.story_lengths, question_rows, params, task1)
     return c.total
 
 
 # per slot: one table row per story slot, then one per question
-per_slot = document_macs(np.concatenate([batch.story.reshape(b * s, lw), batch.question]),
-                         np.concatenate([batch.word_mask.reshape(b * s, lw),
-                                         batch.question_mask]),
-                         np.arange(b * s).reshape(b, s), b * s + np.arange(b))
-per_row = document_macs(batch.sentences, batch.sentence_word_mask, batch.sentence_rows,
-                        batch.question_rows)
-question_len = int(batch.question_mask.sum(axis=1).max())
+slots = np.concatenate([batch.sentence_rows.reshape(b * s), batch.question_rows])
+per_slot = document_macs(slots, np.arange(b * s).reshape(b, s), b * s + np.arange(b))
+per_row = document_macs(np.arange(len(batch.sentences)), batch.sentence_rows, batch.question_rows)
+question_len = int(batch.word_lengths[batch.question_rows].max())
 f = count_ops(task1, (s, lw, question_len, 1))
 every_slot = f.question_encoder + f.word_level_encoder + f.sentence_level_encoder
 print(f"one task-1 batch: {b} stories x {s} sentence slots = {b * s} slots, "
-      f"{int(batch.sentence_mask.sum())} real; {len(batch.sentences)} distinct rows, "
+      f"{int(batch.story_lengths.sum())} real; {len(batch.sentences)} distinct rows, "
       f"{len(set(batch.question_rows.tolist()))} of them questions")
 print("encoder MACs (question, word level and sentence level):")
 print(f"  {'formula, every slot':<24}{b * every_slot:>10}")

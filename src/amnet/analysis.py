@@ -131,12 +131,12 @@ def instrument_ops(config: ModelConfig, story_shape, seed: int = 0) -> OpCountRe
     tok = lambda shape: rng.integers(4, config.vocab_size, size=shape)
 
     question, story = tok((1, q)), tok((s, w))
-    table, mask = _padded([*story.tolist(), *question.tolist()], max(w, q))
+    table, lengths = _padded([*story.tolist(), *question.tolist()], max(w, q))
     with MacCounter() as c_doc:
-        h_que, h_sen, h_final, _ = encode_document(table, mask, np.arange(s), None, [s],
+        h_que, h_sen, h_final, _ = encode_document(table, lengths, np.arange(s), None, [s],
                                                    params, config)
     with MacCounter() as c_table:
-        encode_question(table, mask, params, config)
+        encode_question(table, lengths, params, config)
     with MacCounter() as c_q:
         encode_question(question, None, params, config)
     with MacCounter() as c_word:

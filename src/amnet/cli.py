@@ -216,9 +216,10 @@ def cmd_ask(args) -> int:
             # a batch of the unread rows, its row indices pointing into the
             # whole table, and no answer
             question_row = row_of(question)
-            sentences, word_mask = _padded(unread, max(map(len, unread), default=1))
-            batch = Batch(np.ones((1, len(rows))), np.zeros((1, 0), np.int64), np.zeros((1, 0)),
-                          sentences, word_mask, np.array([rows]), np.array([question_row]), [])
+            sentences, word_lengths = _padded(unread, max(map(len, unread), default=1))
+            batch = Batch(np.zeros((1, 0), np.int64), np.zeros(1, np.int64), sentences,
+                          word_lengths, np.array([rows]), np.array([len(rows)]),
+                          np.array([question_row]))
             predictions, records = predict_batch(batch, ckpt.params, ckpt.config,
                                                  want_records=True, kept=kept)
             unread.clear()

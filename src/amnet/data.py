@@ -208,24 +208,19 @@ def split_train_val(examples):
 
 @dataclass
 class Batch:
-    """Padded id arrays plus {0,1} masks marking real positions. Each distinct
-    word sequence, statement or question, is stored once, in ``sentences``;
-    ``story``/``word_mask`` are that table gathered at ``sentence_rows``, padded
-    slots sharing an all-PAD row, and ``question``/``question_mask`` the same
-    table gathered at ``question_rows``."""
+    """Padded id arrays plus each sequence's int64 length, its real positions
+    coming first. Each distinct word sequence, statement or question, is
+    stored once, in ``sentences``; a story slot reads row ``sentence_rows``
+    of it, padded slots sharing an all-PAD row, and a question row
+    ``question_rows``."""
 
-    sentence_mask: np.ndarray  # [B, S]
-    answer: np.ndarray         # [B, T] gold tokens then EOS, PAD beyond
-    answer_mask: np.ndarray    # [B, T]
-    sentences: np.ndarray           # [U, Lw] int64, each distinct word sequence once
-    sentence_word_mask: np.ndarray  # [U, Lw]
-    sentence_rows: np.ndarray       # [B, S] int64 row of ``sentences`` per slot
-    question_rows: np.ndarray       # [B] int64 row of ``sentences`` per question
-    examples: list[EncodedExample]
-
-    @property
-    def size(self) -> int:
-        return len(self.examples)
+    answer: np.ndarray          # [B, T] gold tokens then EOS, PAD beyond
+    answer_lengths: np.ndarray  # [B] answer tokens plus the EOS
+    sentences: np.ndarray       # [U, Lw] int64, each distinct word sequence once
+    word_lengths: np.ndarray    # [U] words per row of ``sentences``
+    sentence_rows: np.ndarray   # [B, S] int64 row of ``sentences`` per slot
+    story_lengths: np.ndarray   # [B] statements per story
+    question_rows: np.ndarray   # [B] int64 row of ``sentences`` per question
 
     @property
     def story(self) -> np.ndarray:
@@ -233,19 +228,10 @@ class Batch:
         return self.sentences[self.sentence_rows]
 
     @property
-    def word_mask(self) -> np.ndarray:
-        """[B, S, Lw] word mask per story slot."""
-        return self.sentence_word_mask[self.sentence_rows]
-
-    @property
-    def question(self) -> np.ndarray:
-        """[B, Lw] int64 word ids per question."""
-        return self.sentences[self.question_rows]
-
-    @property
-    def question_mask(self) -> np.ndarray:
-        """[B, Lw] word mask per question."""
-        return self.sentence_word_mask[self.question_rows]
+    def sentence_mask(self) -> np.ndarray:
+        """[B, S] float64 {0,1}: which story slots hold a statement."""
+        return (np.arange(self.sentence_rows.shape[1])
+                < self.story_lengths[:, None]).astype(np.float64)
 
     @property
     def max_id(self) -> int:
@@ -255,12 +241,12 @@ class Batch:
 
 def _padded(rows, width: int, fill: int = PAD):
     """Ragged id lists as a ``fill``-padded int64 [len(rows), width] array,
-    plus its float64 {0,1} mask of real positions."""
+    plus the int64 length of each list."""
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    mask = np.arange(width) < lengths[:, None]
-    ids = np.full(mask.shape, fill, dtype=np.int64)
-    ids[mask] = np.fromiter(itertools.chain.from_iterable(rows), np.int64)
-    return ids, mask.astype(np.float64)
+    ids = np.full((len(rows), width), fill, dtype=np.int64)
+    ids[np.arange(width) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(rows), np.int64)
+    return ids, lengths
 
 
 def make_batch(examples) -> Batch:
@@ -279,12 +265,12 @@ def make_batch(examples) -> Batch:
         if len(e.story) < s_max:
             table.setdefault((), len(table))
         questions.append(table.setdefault(tuple(e.question), len(table)))
-    sentence_rows, sentence_mask = _padded(slots, s_max, table.get((), PAD))
+    sentence_rows, story_lengths = _padded(slots, s_max, table.get((), PAD))
     answers = [(*e.answer, EOS) for e in exs]
-    answer, answer_mask = _padded(answers, max(map(len, answers)))
-    sentences, sentence_word_mask = _padded(list(table), max(map(len, table), default=1))
-    return Batch(sentence_mask, answer, answer_mask, sentences, sentence_word_mask,
-                 sentence_rows, np.array(questions, dtype=np.int64), exs)
+    answer, answer_lengths = _padded(answers, max(map(len, answers)))
+    sentences, word_lengths = _padded(list(table), max(map(len, table), default=1))
+    return Batch(answer, answer_lengths, sentences, word_lengths, sentence_rows,
+                 story_lengths, np.array(questions, dtype=np.int64))
 
 
 def batchify(examples, batch_size: int = 50, seed: int = 0) -> list[Batch]:

@@ -6,7 +6,7 @@ of row b; states come back in the same layout (single examples use B = 1).
 One layer's pass over a sequence is one tape op (`gru_layer`; `gru_step`
 is its n = 1 case), which also runs both cells of a bidirectional layer.
 
-Padding: a mask marks each row's real steps, which precede its padding.
+Padding: a row's length counts its real steps, which precede its padding.
 `gru_layer` computes every step. The runners take each row's final at its
 last real step, and feed the reversed direction its real steps last to
 first, then its padding; states at padded steps are not meaningful.
@@ -236,17 +236,17 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
     return gru_layer(x, h_prev, p)
 
 
-def run_sequence(x: Tensor, h0: Tensor, spec: StackSpec, mask=None):
+def run_sequence(x: Tensor, h0: Tensor, spec: StackSpec, lengths=None):
     """Run a (stacked) GRU over ``x`` [B*n, d_in], row b*n+t being step t of row b.
 
-    ``mask`` ([n] or [B, n]) marks each row's real steps, which precede its
-    padding. ``h0`` [B, d] initializes the bottom layer, upper layers start
-    at 0. Returns (states, final): the top layer's states in the layout of
-    ``x``, not meaningful at padded steps, and each row's state at its last
-    real step.
+    ``lengths`` [B] counts each row's real steps, which precede its padding
+    (None: all n). ``h0`` [B, d] initializes the bottom layer, upper layers
+    start at 0. Returns (states, final): the top layer's states in the
+    layout of ``x``, not meaningful at padded steps, and each row's state at
+    its last real step.
     """
     batch = h0.shape[0]
-    *_, last = _real_steps(mask, x.shape[0], batch)
+    *_, last = _real_steps(lengths, x.shape[0], batch)
     states = x
     for li, params in enumerate(spec.layers):
         h = h0 if li == 0 else constant(np.zeros((batch, params.d), dtype=h0.data.dtype))
@@ -255,16 +255,16 @@ def run_sequence(x: Tensor, h0: Tensor, spec: StackSpec, mask=None):
 
 
 def run_bidirectional(x: Tensor, h0_fwd: Tensor, h0_bwd: Tensor,
-                      spec_fwd: StackSpec, spec_bwd: StackSpec, mask=None):
+                      spec_fwd: StackSpec, spec_bwd: StackSpec, lengths=None):
     """Forward and reversed runs over ``x`` fused by elementwise sum (states and finals).
 
-    ``mask`` is as for `run_sequence`. Each layer is one `gru_layer` over the
+    ``lengths`` is as for `run_sequence`. Each layer is one `gru_layer` over the
     pair of cells, each direction's layer k reading its own layer k-1 states.
     The second cell reads each row's real steps last to first, then its
     padding, so both cells end at the last real step, where finals are taken.
     """
     batch = h0_fwd.shape[0]
-    lengths, first, last = _real_steps(mask, x.shape[0], batch)
+    lengths, first, last = _real_steps(lengths, x.shape[0], batch)
     steps = np.arange(x.shape[0] // batch)  # rev: real steps last to first, then padding
     rev = (first + np.where(steps < lengths, lengths - 1 - steps, steps)).reshape(-1)
     states = _beside_reversed(x, rev)
@@ -275,21 +275,24 @@ def run_bidirectional(x: Tensor, h0_fwd: Tensor, h0_bwd: Tensor,
     return _sum_directions(states, slice(None), rev), _sum_directions(states, last, last)
 
 
-def _real_steps(mask, rows: int, batch: int):
-    """(lengths, first, last) of B sequences in ``rows`` rows under a 0/1
-    prefix ``mask`` (None, [n] or [B, n]): real lengths [B or 1, 1], first
-    rows [B, 1] and the rows of their last real steps [B] (step 0 if none)."""
+def _real_steps(lengths, rows: int, batch: int):
+    """(lengths, first, last) of B sequences in ``rows`` rows whose first
+    ``lengths`` [B] steps are real (None: all of them): real lengths
+    [B or 1, 1], first rows [B, 1] and the rows of their last real steps
+    [B] (step 0 if none)."""
     n = rows // batch
     if rows == 0 or rows % batch:
         raise ContractError(f"{rows} input rows do not split into {batch} nonempty sequences")
-    lengths = np.full((1, 1), n)
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
-        if m.shape not in ((n,), (batch, n)):
-            raise ContractError(f"mask shape {m.shape} does not match {batch} rows x {n} steps")
-        lengths = m.sum(axis=-1, keepdims=True).astype(np.int64).reshape(-1, 1)
-        if (m != (np.arange(n) < lengths)).any():
-            raise ContractError("mask is not a 0/1 prefix mask (real steps, then padding)")
+    if lengths is None:
+        lengths = np.full((1, 1), n)
+    else:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (batch,) or lengths.dtype.kind not in "iu":
+            raise ContractError(f"lengths of shape {lengths.shape} and dtype {lengths.dtype} "
+                                f"are not {batch} integers")
+        if lengths.min() < 0 or lengths.max() > n:
+            raise ContractError(f"lengths outside 0..{n}: {lengths.min()}..{lengths.max()}")
+        lengths = lengths.reshape(-1, 1)
     first = np.arange(0, rows, n)[:, None]
     return lengths, first, (first + np.maximum(lengths, 1) - 1)[:, 0]
 

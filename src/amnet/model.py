@@ -166,38 +166,39 @@ def _zeros_like_state(batch: int, e: int, dtype) -> Tensor:
     return constant(np.zeros((batch, e), dtype=dtype))
 
 
-def _read_words(ids: np.ndarray, mask, params: ModelParams, config: ModelConfig) -> Tensor:
+def _read_words(ids: np.ndarray, lengths, params: ModelParams, config: ModelConfig) -> Tensor:
     """Final state of the tied encoder stack over each row of word ids
-    [n, L], zero-initialized; ``mask`` is None or [n, L]."""
+    [n, L], zero-initialized; ``lengths`` [n] counts each row's words
+    (None: all L)."""
     x = take_rows(params.embedding, ids.reshape(-1))
     h0 = _zeros_like_state(ids.shape[0], config.size, params.dtype)
-    _, final = run_sequence(x, h0, params.encoder, mask)
+    _, final = run_sequence(x, h0, params.encoder, lengths)
     return final
 
 
-def encode_question(question_ids, question_mask, params: ModelParams,
+def encode_question(question_ids, question_lengths, params: ModelParams,
                     config: ModelConfig) -> Tensor:
     """Final state of the (tied) encoder stack over question rows alone,
-    zero-initialized: the read `encode_document` makes of its whole table."""
+    zero-initialized: the read `encode_document` makes of its whole table.
+    ``question_lengths`` [B] counts each row's words (None: all)."""
     ids = np.atleast_2d(np.asarray(question_ids, dtype=np.int64))
     if ids.shape[1] == 0:
         raise ContractError("empty question")
-    m = None
-    if question_mask is not None:
-        m = np.atleast_2d(np.asarray(question_mask, dtype=np.float64))
-        if (m.sum(axis=1) == 0).any():
-            raise ContractError("a question in the batch has no tokens")
-    return _read_words(ids, m, params, config)
+    if question_lengths is not None and (np.asarray(question_lengths) == 0).any():
+        raise ContractError("a question in the batch has no tokens")
+    return _read_words(ids, question_lengths, params, config)
 
 
-def encode_document(sentences, word_mask, sentence_rows, sentence_mask, question_rows,
+def encode_document(sentences, word_lengths, sentence_rows, story_lengths, question_rows,
                     params: ModelParams, config: ModelConfig, kept: list | None = None):
     """The question encoding, then word-level and sentence-level encoding
     of the story, from one read of a word table.
 
     ``sentences`` [U, Lw] holds word ids, statements and questions alike,
-    ``word_mask`` None or [U, Lw]; ``sentence_rows`` [B, S] is the row read
-    at each story slot and ``question_rows`` [B] the row of each question.
+    ``word_lengths`` None or [U] the words of each row; ``sentence_rows``
+    [B, S] is the row read at each story slot, ``story_lengths`` None or [B]
+    the statements of each story, and ``question_rows`` [B] the row of each
+    question.
     The tied word-level encoder runs once per row, however many slots and
     questions share it (a raw [S, Lw] story passes ``np.arange(S)``).
 
@@ -219,19 +220,15 @@ def encode_document(sentences, word_mask, sentence_rows, sentence_mask, question
         raise ContractError("empty document")
     if len(questions) != len(rows):
         raise ShapeError(f"{len(questions)} question rows for {len(rows)} stories")
-    if sentence_mask is not None:
-        sm = np.atleast_2d(np.asarray(sentence_mask, dtype=np.float64))
-        if (sm.sum(axis=1) == 0).any():
-            raise ContractError("a story in the batch has no sentences")
-    else:
-        sm = None
+    if story_lengths is not None and (np.asarray(story_lengths) == 0).any():
+        raise ContractError("a story in the batch has no sentences")
 
     # word level over the rows not read yet, then gathers to the questions and
     # the [B*S] slots
-    wm = None if word_mask is None else np.asarray(word_mask, dtype=np.float64)
-    if kept is None and wm is not None and (wm[questions].sum(axis=1) == 0).any():
+    if kept is None and word_lengths is not None and (
+            np.asarray(word_lengths)[questions] == 0).any():
         raise ContractError("a question in the batch has no tokens")
-    table = None if kept and len(ids) == 0 else _read_words(ids, wm, params, config)
+    table = None if kept and len(ids) == 0 else _read_words(ids, word_lengths, params, config)
     if kept is not None:
         if table is not None:
             kept.append(table.data)
@@ -241,13 +238,14 @@ def encode_document(sentences, word_mask, sentence_rows, sentence_mask, question
 
     # sentence-level bidirectional pass: row b*S+s of h_wrd is step s of story b
     h_sen, h_sen_final = run_bidirectional(
-        h_wrd, h_que, h_que, params.sentence_fwd, params.sentence_bwd, sm)
+        h_wrd, h_que, h_que, params.sentence_fwd, params.sentence_bwd, story_lengths)
     return h_que, h_sen, h_sen_final, s
 
 
 class _Recurrence:
     """An attentive GRU recurrence in plain numpy over fixed ``states``
-    [B*k, e]: per step, the cell stack's top state is the candidate, which
+    [B*k, e], of which each row's first ``lengths`` [B] (None: all k) are
+    attended: per step, the cell stack's top state is the candidate, which
     queries additive attention over the states, and proj(context ||
     candidate) becomes the output and the top layer's carried state. The
     keys ``states @ W1`` are projected once, and so is a fixed ``query``
@@ -257,7 +255,7 @@ class _Recurrence:
     Working arrays are step-major, sized for at most ``steps`` steps; `step`
     runs one, `backward` is BPTT over the steps run."""
 
-    def __init__(self, states: np.ndarray, mask, first: np.ndarray, cell: StackSpec,
+    def __init__(self, states: np.ndarray, lengths, first: np.ndarray, cell: StackSpec,
                  att: AttentionParams, steps: int, query: np.ndarray | None = None):
         (b, e), rows = first.shape, states.shape[0]
         if rows == 0 or rows % b:
@@ -266,14 +264,6 @@ class _Recurrence:
         if states.shape[1] != e or d != e or att.proj.shape != (2 * e, e):
             raise ShapeError(f"attentive cell of width {d} over states {states.shape} "
                              f"from {first.shape}")
-        self.live = None
-        if mask is not None:
-            live = np.asarray(mask) != 0
-            if live.shape != (b, k):
-                raise ShapeError(f"mask shape {live.shape} does not match {b} rows x {k} states")
-            if not live.any(axis=1).all():
-                raise MaskError("attention mask must keep at least one state per row")
-            self.live = None if live.all() else live
         self.b, self.k, self.e, self.depth = b, k, e, depth
         self.cell, self.att, self.states = cell, att, states
         self.s3 = states.reshape(b, k, e)
@@ -282,6 +272,15 @@ class _Recurrence:
         self.layers = [(p.w.data, p.b.data, p.u.data[:, :2 * d], p.u.data[:, 2 * d:],
                         p.u.data[:, :2 * d] * 0.5) for p in cell.layers]
         dt = np.result_type(states, first, att.w1.data, *self.layers[0])
+        # attention score bias: 0 at attended states, -inf at the padding after them
+        self.bias = np.zeros((b, k), dt)
+        if lengths is not None:
+            n = np.asarray(lengths)
+            if n.shape != (b,):
+                raise ShapeError(f"lengths shape {n.shape} does not match {b} rows")
+            if n.min() < 1 or n.max() > k:
+                raise MaskError(f"attention needs 1..{k} states per row, got {n.min()}..{n.max()}")
+            self.bias[np.arange(k) >= n[:, None]] = -np.inf
         self.pre = np.empty((steps, depth, b, 3 * d), dt)  # GRU pre-activations
         self.zr = np.empty((steps, depth, b, 2 * d), dt)   # gates z | r
         self.cand = np.empty((steps, depth, b, d), dt)     # h~
@@ -317,14 +316,9 @@ class _Recurrence:
         a = np.add(self.keys, (x @ self.att.w2.data)[:, None, :], out=self.att_pre[t])
         th = np.tanh(a, out=self.tanh[t])
         u = (th.reshape(-1, e) @ self.att.v.data).reshape(self.b, self.k)
-        p = self.p[t]
-        if self.live is None:
-            np.subtract(u, u.max(axis=1, keepdims=True), out=p)
-            np.exp(p, out=p)
-        else:
-            u = np.where(self.live, u, -np.inf)
-            u -= u.max(axis=1, keepdims=True)
-            np.copyto(p, np.where(self.live, np.exp(np.where(self.live, u, 0.0)), 0.0))
+        u += self.bias
+        p = np.subtract(u, u.max(axis=1, keepdims=True), out=self.p[t])
+        np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
         np.einsum("bk,bke->be", p, self.s3, out=self.cat[t, :, :e])
         self.n += 1
@@ -399,11 +393,12 @@ def _by_example(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
 
 
-def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tensor,
+def memory_module(h_que: Tensor, h_sen: Tensor, story_lengths, h_sen_final: Tensor,
                   params: ModelParams, config: ModelConfig):
     """``config.memories`` = m attentive steps over the sentence states
-    ``h_sen`` [B*k, e] (``sentence_mask`` None or [B, k]), each fed the
-    question state ``h_que`` [B, e]: one tape op.
+    ``h_sen`` [B*k, e], of which each example's first ``story_lengths`` [B]
+    (None: all k) are attended, each fed the question state ``h_que``
+    [B, e]: one tape op.
 
     The cell starts from the document encoding (m_0 = h_sen_final; upper
     layers from 0). Returns (memories [B*m, e], row b*m+j the state after
@@ -414,7 +409,7 @@ def memory_module(h_que: Tensor, h_sen: Tensor, sentence_mask, h_sen_final: Tens
     if h_que.shape != h_sen_final.shape or h_que.shape[1] != cell.layers[0].d_in:
         raise ShapeError(f"memory query {h_que.shape} and start {h_sen_final.shape} "
                          f"for a {cell.layers[0].d_in}-input cell")
-    rec = _Recurrence(h_sen.data, sentence_mask, h_sen_final.data, cell,
+    rec = _Recurrence(h_sen.data, story_lengths, h_sen_final.data, cell,
                       params.memory_attention, config.memories, query=h_que.data)
     for _ in range(config.memories):
         rec.step()
@@ -546,25 +541,26 @@ def forward_batch(batch, params: ModelParams, config: ModelConfig, *,
     if training and batch.max_id >= config.vocab_size:
         raise DataError(f"token id {batch.max_id} outside vocabulary of {config.vocab_size}")
     h_que, h_sen, h_sen_final, _ = encode_document(
-        batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
+        batch.sentences, batch.word_lengths, batch.sentence_rows, batch.story_lengths,
         batch.question_rows, params, config)
     memories, _, _ = memory_module(
-        h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
+        h_que, h_sen, batch.story_lengths, h_sen_final, params, config)
     logits, _ = decode_teacher_forced(memories, batch.answer, params)
 
     # every answer position at once: row b*T+t of the logits is position t of example b
     ce = cross_entropy_rows(logits, batch.answer.reshape(-1))
-    live = mul(ce, constant(batch.answer_mask.reshape(-1).astype(ce.dtype)))
-    n_positions = int(batch.answer_mask.sum())
+    real = np.arange(batch.answer.shape[1]) < batch.answer_lengths[:, None]
+    live = mul(ce, constant(real.reshape(-1).astype(ce.dtype)))
+    n_positions = int(batch.answer_lengths.sum())
     return ForwardResult(scale(sum_all(live), 1.0 / n_positions), n_positions)
 
 
 def _build_records(batch, predictions, mem_weights, mem_contexts, dec_weights):
     """One AttentionRecord per example, from step-major [steps, B, ...] arrays."""
     records = []
-    for i, real in enumerate(batch.sentence_mask):
+    for i, n in enumerate(batch.story_lengths.tolist()):
         t_i = min(len(predictions[i]) + 1, len(dec_weights))
-        records.append(AttentionRecord(mem_weights[:, i, :int(real.sum())],
+        records.append(AttentionRecord(mem_weights[:, i, :n],
                                        dec_weights[:t_i, i], mem_contexts[:, i]))
     return records
 
@@ -586,10 +582,10 @@ def predict_batch(batch, params: ModelParams, config: ModelConfig,
     Returns (predictions, records) where records is None unless asked for.
     """
     h_que, h_sen, h_sen_final, _ = encode_document(
-        batch.sentences, batch.sentence_word_mask, batch.sentence_rows, batch.sentence_mask,
+        batch.sentences, batch.word_lengths, batch.sentence_rows, batch.story_lengths,
         batch.question_rows, params, config, kept)
     memories, mem_weights, mem_contexts = memory_module(
-        h_que, h_sen, batch.sentence_mask, h_sen_final, params, config)
+        h_que, h_sen, batch.story_lengths, h_sen_final, params, config)
     tokens, fr_weights = decode_greedy(memories, params, config)
     predictions = cut_at_eos(tokens)
     records = None

@@ -529,7 +529,7 @@ class TestAskSession:
             width = max(map(len, ids))
             padded = np.array([s + [0] * (width - len(s)) for s in ids])
             with MacCounter() as counter:
-                encode_question(padded, padded > 0, ckpt.params, ckpt.config)
+                encode_question(padded, (padded > 0).sum(axis=1), ckpt.params, ckpt.config)
             want.append(counter.total)
             repeated += question not in new
         assert macs == want

@@ -170,37 +170,37 @@ def encode_all(path):
 class TestBatching:
     def test_covers_every_example_once(self, sample_file):
         encoded, _ = encode_all(sample_file)
-        encoded = encoded * 34  # 102 examples
+        # 102 examples, told apart by their answers
+        encoded = [EncodedExample(e.story, e.line_numbers, e.question, [100 + i], e.supporting)
+                   for i, e in enumerate(encoded * 34)]
         batches = batchify(encoded, batch_size=50, seed=7)
-        assert [b.size for b in batches] == [50, 50, 2]
-        seen = sorted(id(e) for b in batches for e in b.examples)
-        assert seen == sorted(id(e) for e in encoded)
+        assert [len(b.question_rows) for b in batches] == [50, 50, 2]
+        seen = sorted(a for b in batches for a in b.answer[:, 0].tolist())
+        assert seen == sorted(e.answer[0] for e in encoded)
 
     def test_masks_sum_to_true_lengths(self, sample_file):
         encoded, _ = encode_all(sample_file)
         batch = make_batch(encoded)
-        for i, e in enumerate(batch.examples):
-            assert batch.sentence_mask[i].sum() == len(e.story)
+        for i, e in enumerate(encoded):
+            assert batch.story_lengths[i] == batch.sentence_mask[i].sum() == len(e.story)
             for j, sent in enumerate(e.story):
-                assert batch.word_mask[i, j].sum() == len(sent)
-            assert batch.question_mask[i].sum() == len(e.question)
-            assert batch.answer_mask[i].sum() == len(e.answer) + 1  # EOS
+                assert batch.word_lengths[batch.sentence_rows[i, j]] == len(sent)
+            assert batch.word_lengths[batch.question_rows[i]] == len(e.question)
+            assert batch.answer_lengths[i] == len(e.answer) + 1  # EOS
 
     def test_sentence_table_reproduces_every_slot(self, sample_file):
         encoded, _ = encode_all(sample_file)
         batch = make_batch(encoded)
         # stories of 2, 4 and 2 sentences; the second repeats the first's two
         assert batch.story.shape[:2] == (3, 4)
-        for i, e in enumerate(batch.examples):
+        for i, e in enumerate(encoded):
             for j, sent in enumerate(e.story):
                 row = batch.sentence_rows[i, j]
                 want = np.full(batch.story.shape[2], PAD)
                 want[:len(sent)] = sent
                 np.testing.assert_array_equal(batch.story[i, j], want)
                 np.testing.assert_array_equal(batch.sentences[row], want)
-                np.testing.assert_array_equal(batch.sentence_word_mask[row],
-                                              batch.word_mask[i, j])
-                assert batch.word_mask[i, j].sum() == len(sent)
+                assert batch.word_lengths[row] == len(sent)
 
     def test_sentence_table_rows_are_distinct(self, sample_file):
         encoded, _ = encode_all(sample_file)
@@ -217,47 +217,47 @@ class TestBatching:
         padded = batch.sentence_rows[batch.sentence_mask == 0]
         assert padded.size == 4 and len(set(padded)) == 1
         assert (batch.sentences[padded[0]] == PAD).all()
-        assert (batch.sentence_word_mask[padded[0]] == 0).all()
+        assert batch.word_lengths[padded[0]] == 0
         assert (batch.story[batch.sentence_mask == 0] == PAD).all()
-        assert (batch.word_mask[batch.sentence_mask == 0] == 0).all()
 
     def test_unpadded_batch_has_no_all_pad_row(self, sample_file):
         encoded, _ = encode_all(sample_file)
         batch = make_batch([encoded[0], encoded[2], encoded[0]])
         assert batch.sentence_mask.all()
         assert len(batch.sentences) == 4 + 2  # distinct sentences and questions
-        assert batch.sentence_word_mask.sum(axis=1).min() > 0
+        assert batch.word_lengths.min() > 0
 
     def test_equal_questions_share_one_row(self, sample_file):
         encoded, _ = encode_all(sample_file)
         # a copy of the first question that is not the same list
         again = EncodedExample(encoded[2].story, encoded[2].line_numbers,
                                list(encoded[0].question), encoded[2].answer, [])
-        batch = make_batch([encoded[0], encoded[1], again, encoded[0]])
+        exs = [encoded[0], encoded[1], again, encoded[0]]
+        batch = make_batch(exs)
         q = batch.question_rows
         assert q[0] == q[2] == q[3] != q[1]
         assert len(set(q.tolist()) & set(batch.sentence_rows.reshape(-1).tolist())) == 0
-        for i, e in enumerate(batch.examples):
-            assert batch.question_mask[i].sum() == len(e.question)
-            np.testing.assert_array_equal(batch.question[i, :len(e.question)], e.question)
-            assert (batch.question[i, len(e.question):] == PAD).all()
+        for i, e in enumerate(exs):
+            assert batch.word_lengths[q[i]] == len(e.question)
+            np.testing.assert_array_equal(batch.sentences[q[i], :len(e.question)], e.question)
+            assert (batch.sentences[q[i], len(e.question):] == PAD).all()
 
     def test_questions_never_take_the_all_pad_row(self, sample_file):
         encoded, _ = encode_all(sample_file)
         batch = make_batch(encoded * 2)
         pad_row = batch.sentence_rows[batch.sentence_mask == 0][0]
         assert pad_row not in batch.question_rows
-        assert (batch.question_mask.sum(axis=1) > 0).all()
+        assert (batch.word_lengths[batch.question_rows] > 0).all()
         # an empty question is the empty word sequence: the all-PAD row
         empty = EncodedExample(encoded[0].story, encoded[0].line_numbers, [], [6], [])
         batch = make_batch([encoded[1], empty])
         assert batch.question_rows[1] == batch.sentence_rows[1, -1]
-        assert batch.question_mask[1].sum() == 0
+        assert batch.word_lengths[batch.question_rows[1]] == 0
 
     def test_answer_rows_end_with_eos(self, sample_file):
         encoded, _ = encode_all(sample_file)
         batch = make_batch(encoded)
-        for i, e in enumerate(batch.examples):
+        for i, e in enumerate(encoded):
             assert batch.answer[i, len(e.answer)] == EOS
 
     def test_shuffle_is_seeded(self, sample_file):
@@ -437,11 +437,10 @@ def _reference_make_batch(examples):
 
     sentence_rows = np.zeros((b, s_max), dtype=np.int64)
     sentence_mask = np.zeros((b, s_max), dtype=np.float64)
+    story_lengths = np.zeros(b, dtype=np.int64)
     question_rows = np.zeros(b, dtype=np.int64)
-    question = np.full((b, w_max), PAD, dtype=np.int64)
-    question_mask = np.zeros((b, w_max), dtype=np.float64)
     answer = np.full((b, t_max), PAD, dtype=np.int64)
-    answer_mask = np.zeros((b, t_max), dtype=np.float64)
+    answer_lengths = np.zeros(b, dtype=np.int64)
     table: dict[tuple, int] = {}
     for i, e in enumerate(exs):
         n = len(e.story)
@@ -449,21 +448,19 @@ def _reference_make_batch(examples):
         if n < s_max:
             sentence_rows[i, n:] = table.setdefault((), len(table))
         sentence_mask[i, :n] = 1.0
+        story_lengths[i] = n
         question_rows[i] = table.setdefault(tuple(e.question), len(table))
-        question[i, :len(e.question)] = e.question
-        question_mask[i, :len(e.question)] = 1.0
         gold = list(e.answer) + [EOS]
         answer[i, :len(gold)] = gold
-        answer_mask[i, :len(gold)] = 1.0
+        answer_lengths[i] = len(gold)
     sentences = np.full((len(table), w_max), PAD, dtype=np.int64)
-    sentence_word_mask = np.zeros((len(table), w_max), dtype=np.float64)
+    word_lengths = np.zeros(len(table), dtype=np.int64)
     for sent, r in table.items():
         sentences[r, :len(sent)] = sent
-        sentence_word_mask[r, :len(sent)] = 1.0
-    return dict(sentence_mask=sentence_mask, question=question, question_mask=question_mask,
-                answer=answer, answer_mask=answer_mask, sentences=sentences,
-                sentence_word_mask=sentence_word_mask, sentence_rows=sentence_rows,
-                question_rows=question_rows)
+        word_lengths[r] = len(sent)
+    return dict(sentence_mask=sentence_mask, story_lengths=story_lengths, answer=answer,
+                answer_lengths=answer_lengths, sentences=sentences, word_lengths=word_lengths,
+                sentence_rows=sentence_rows, question_rows=question_rows)
 
 
 def _assert_matches_reference(examples):
@@ -472,7 +469,6 @@ def _assert_matches_reference(examples):
         got = getattr(batch, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         np.testing.assert_array_equal(got, want, err_msg=name)
-    assert batch.examples == list(examples)
 
 
 class TestMakeBatchReference:

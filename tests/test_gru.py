@@ -123,8 +123,9 @@ def solo_runs(x3, h0, spec, lengths, reverse=False):
 
 
 class TestGruLayer:
-    # 3 rows of lengths 4, 2 and 3: a prefix mask, real steps then padding
-    MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]], dtype=float)
+    # 3 rows of 5 steps, of lengths 4, 2 and 3: real steps then padding
+    LENGTHS = np.array([4, 2, 3])
+    REAL = (np.arange(5) < LENGTHS[:, None]).reshape(-1)  # per row of the [15, .] input
 
     @pytest.mark.parametrize("pair", [False, True])
     def test_gradients_masked_depth2(self, pair):
@@ -141,9 +142,9 @@ class TestGruLayer:
 
         def f(x, h0, *_):
             if pair:
-                states, final = run_bidirectional(x, h0, h0_rev, spec, rev, self.MASK)
+                states, final = run_bidirectional(x, h0, h0_rev, spec, rev, self.LENGTHS)
             else:
-                states, final = run_sequence(x, h0, spec, self.MASK)
+                states, final = run_sequence(x, h0, spec, self.LENGTHS)
             return add(sum_all(mul(states, w)), sum_all(mul(final, final)))
 
         assert grad_check(f, tensors) < 1e-4
@@ -177,14 +178,14 @@ class TestGruLayer:
         bwd = StackSpec([GruParams.create(2, 3, rng), GruParams.create(3, 3, rng)])
         x = rng.normal(size=(15, 2)).astype(np.float32)
         h0 = Tensor(rng.normal(size=(3, 3)).astype(np.float32))
-        padded = self.MASK.reshape(-1) == 0
+        padded = ~self.REAL
         noisy = x.copy()
         noisy[padded] = rng.normal(size=(int(padded.sum()), 2)) * 100
 
         def run(inputs):
             if pair:
-                return run_bidirectional(Tensor(inputs), h0, h0, fwd, bwd, self.MASK)
-            return run_sequence(Tensor(inputs), h0, fwd, self.MASK)
+                return run_bidirectional(Tensor(inputs), h0, h0, fwd, bwd, self.LENGTHS)
+            return run_sequence(Tensor(inputs), h0, fwd, self.LENGTHS)
 
         (s1, f1), (s2, f2) = run(x), run(noisy)
         np.testing.assert_array_equal(s1.data[~padded], s2.data[~padded])
@@ -197,7 +198,8 @@ class TestGruLayer:
         rng = np.random.default_rng(22)
         spec = StackSpec([GruParams.create(2, 2, rng)])
         x = Tensor(rng.normal(size=(15, 2)).astype(np.float32))
-        states, final = run_sequence(x, Tensor(np.zeros((3, 2), np.float32)), spec, self.MASK)
+        h0 = Tensor(np.zeros((3, 2), np.float32))
+        states, final = run_sequence(x, h0, spec, self.LENGTHS)
         want = np.array([
             [0.12154816091060638, 0.1553146243095398],
             [-0.2259417027235031, 0.1054970994591713],
@@ -210,7 +212,7 @@ class TestGruLayer:
             [-0.3169562816619873, -0.3646438717842102],
         ], dtype=np.float32)
         assert states.dtype == np.float32
-        np.testing.assert_array_equal(states.data[self.MASK.reshape(-1) == 1], want)
+        np.testing.assert_array_equal(states.data[self.REAL], want)
         np.testing.assert_array_equal(final.data, want[[3, 5, 8]])
 
     def test_ragged_batch_equals_scalar_fold(self):
@@ -218,7 +220,7 @@ class TestGruLayer:
         fwd, bwd = StackSpec([random_params(2, 3, rng)]), StackSpec([random_params(2, 3, rng)])
         x3 = rng.normal(size=(3, 5, 2))
         h0f, h0b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        lengths = self.MASK.sum(axis=1).astype(int)
+        lengths = self.LENGTHS
 
         def fold(spec, h, steps):
             out = []
@@ -229,12 +231,12 @@ class TestGruLayer:
 
         f_want = [fold(fwd, h0f[b], x3[b, :n]) for b, n in enumerate(lengths)]
         b_want = [fold(bwd, h0b[b], x3[b, :n][::-1])[::-1] for b, n in enumerate(lengths)]
-        real = self.MASK.reshape(-1) == 1
-        states, final = run_sequence(steps_tensor(x3), Tensor(h0f), fwd, self.MASK)
+        real = self.REAL
+        states, final = run_sequence(steps_tensor(x3), Tensor(h0f), fwd, self.LENGTHS)
         np.testing.assert_allclose(states.data[real], np.concatenate(f_want), rtol=0, atol=1e-10)
         np.testing.assert_allclose(final.data, [f[-1] for f in f_want], rtol=0, atol=1e-10)
         states, final = run_bidirectional(steps_tensor(x3), Tensor(h0f), Tensor(h0b),
-                                          fwd, bwd, self.MASK)
+                                          fwd, bwd, self.LENGTHS)
         np.testing.assert_allclose(states.data[real], np.concatenate(f_want) + np.concatenate(b_want),
                                    rtol=0, atol=1e-10)
         np.testing.assert_allclose(final.data, [f[-1] + b[0] for f, b in zip(f_want, b_want)],
@@ -263,16 +265,18 @@ class TestGruLayer:
             np.testing.assert_array_equal(states.reshape(3, 5, 3)[:, t], h)
 
     @pytest.mark.parametrize("pair", [False, True])
-    @pytest.mark.parametrize("mask", [[[1, 0, 1]], [[1, 1, 0.5]]], ids=["hole", "fraction"])
-    def test_non_prefix_mask_rejected(self, pair, mask):
+    @pytest.mark.parametrize("lengths", [[-1, 2], [2, 4], [[2, 2]], [2], [2.0, 3.0]],
+                             ids=["negative", "past-n", "2-d", "short", "float"])
+    def test_bad_lengths_rejected(self, pair, lengths):
+        # 2 rows of 3 steps
         rng = np.random.default_rng(24)
         spec = StackSpec([random_params(2, 3, rng)])
-        x, h0 = Tensor(rng.normal(size=(3, 2))), Tensor(np.zeros((1, 3)))
-        with pytest.raises(ContractError, match="prefix"):
+        x, h0 = Tensor(rng.normal(size=(6, 2))), Tensor(np.zeros((2, 3)))
+        with pytest.raises(ContractError, match="lengths"):
             if pair:
-                run_bidirectional(x, h0, h0, spec, spec, mask)
+                run_bidirectional(x, h0, h0, spec, spec, lengths)
             else:
-                run_sequence(x, h0, spec, mask)
+                run_sequence(x, h0, spec, lengths)
 
 
 class TestRunSequence:
@@ -297,7 +301,7 @@ class TestRunSequence:
         spec = StackSpec([random_params(3, 3, rng), random_params(3, 3, rng)])
         x = Tensor(rng.normal(size=(12, 3)))
         h0 = Tensor(np.zeros((3, 3)))
-        states, final = run_sequence(x, h0, spec, mask=[[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 0, 0]])
+        states, final = run_sequence(x, h0, spec, lengths=[2, 4, 1])
         np.testing.assert_array_equal(final.data, states.data[[1, 7, 8]])
 
     def test_equals_explicit_fold(self):
@@ -331,8 +335,8 @@ class TestRunSequence:
         p = random_params(2, 3, rng)
         spec = StackSpec([p])
         x3 = rng.normal(size=(2, 3, 2))
-        mask = np.array([[1, 1, 1], [1, 0, 0]], dtype=float)  # row 1 is length 1
-        _, final = run_sequence(steps_tensor(x3), Tensor(np.zeros((2, 3))), spec, mask)
+        lengths = np.array([3, 1])  # row 1 is length 1
+        _, final = run_sequence(steps_tensor(x3), Tensor(np.zeros((2, 3))), spec, lengths)
         _, solo = run_sequence(Tensor(x3[1, :1]), Tensor(np.zeros((1, 3))), spec)
         np.testing.assert_allclose(final.data[1], solo.data[0], atol=1e-12)
 
@@ -345,14 +349,14 @@ class TestRunSequence:
         tensors = [x] + [t for _, t in p.named()]
 
         def f(x, *_):
-            _, final = run_sequence(x, h0, spec, mask=[1, 1, 1, 0])
+            _, final = run_sequence(x, h0, spec, lengths=[3])
             return sum_all(final)
 
         assert grad_check(f, tensors) < 1e-4
 
 
 class TestPairLayer:
-    MASK = TestGruLayer.MASK
+    LENGTHS, REAL = TestGruLayer.LENGTHS, TestGruLayer.REAL
 
     def specs(self, depth, rng):
         return [StackSpec([random_params(2 if i == 0 else 3, 3, rng) for i in range(depth)])
@@ -364,13 +368,13 @@ class TestPairLayer:
         fwd, bwd = self.specs(depth, rng)
         x3 = rng.normal(size=(3, 5, 2))
         h0f, h0b = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))
-        states, final = run_bidirectional(steps_tensor(x3), h0f, h0b, fwd, bwd, self.MASK)
+        states, final = run_bidirectional(steps_tensor(x3), h0f, h0b, fwd, bwd, self.LENGTHS)
         # each row alone over its real steps, forward and reversed
-        lengths = self.MASK.sum(axis=1).astype(int)
+        lengths = self.LENGTHS
         f_states, f_final = solo_runs(x3, h0f, fwd, lengths)
         b_states, b_final = solo_runs(x3, h0b, bwd, lengths, reverse=True)
         want = np.concatenate([f + b for f, b in zip(f_states, b_states)])
-        real = self.MASK.reshape(-1) == 1
+        real = self.REAL
         np.testing.assert_allclose(states.data[real], want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(final.data, f_final + b_final, rtol=0, atol=1e-12)
 
@@ -384,7 +388,7 @@ class TestPairLayer:
         tensors = [x, h0f, h0b] + [t for _, t in fwd.named("f")] + [t for _, t in bwd.named("b")]
 
         def f(x, h0f, h0b, *_):
-            states, final = run_bidirectional(x, h0f, h0b, fwd, bwd, self.MASK)
+            states, final = run_bidirectional(x, h0f, h0b, fwd, bwd, self.LENGTHS)
             return add(sum_all(mul(states, w)), sum_all(mul(final, final)))
 
         assert grad_check(f, tensors) < 1e-4
@@ -409,7 +413,7 @@ class TestPairLayer:
         bwd.layers[0].u.data[0, 0] = np.inf  # U_z[0, 0]
         h0 = Tensor(np.ones((3, 3)))
         with pytest.raises(NumericError, match="gru_layer"):
-            run_bidirectional(Tensor(rng.normal(size=(15, 2))), h0, h0, fwd, bwd, self.MASK)
+            run_bidirectional(Tensor(rng.normal(size=(15, 2))), h0, h0, fwd, bwd, self.LENGTHS)
 
 
 class TestBidirectional:

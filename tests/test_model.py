@@ -45,8 +45,8 @@ def toy_example(rng, n_sent=2, sent_len=3, q_len=3, ans_len=1, vocab=14):
 
 def read_document(batch, params, config):
     """`encode_document` over a batch's word table: (h_que, h_sen, h_final, S)."""
-    return encode_document(batch.sentences, batch.sentence_word_mask, batch.sentence_rows,
-                           batch.sentence_mask, batch.question_rows, params, config)
+    return encode_document(batch.sentences, batch.word_lengths, batch.sentence_rows,
+                           batch.story_lengths, batch.question_rows, params, config)
 
 
 class TestModelConfig:
@@ -155,7 +155,7 @@ class TestEncoders:
     def test_single_token_question_is_one_gru_step(self, setup):
         config, params, rng = setup
         ids = np.array([[7]])
-        h = encode_question(ids, np.ones((1, 1)), params, config)
+        h = encode_question(ids, [1], params, config)
         x = take_rows(params.embedding, ids[:, 0])
         want = gru_step(x, Tensor(np.zeros((1, 6))), params.encoder.layers[0])
         np.testing.assert_allclose(h.data, want.data, atol=1e-12)
@@ -163,14 +163,14 @@ class TestEncoders:
     def test_identical_questions_identical_states(self, setup):
         config, params, rng = setup
         ids = np.array([[5, 6, 7]])
-        a = encode_question(ids, np.ones((1, 3)), params, config)
-        b = encode_question(ids, np.ones((1, 3)), params, config)
+        a = encode_question(ids, [3], params, config)
+        b = encode_question(ids, [3], params, config)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_weight_tying_question_equals_sentence_encoding(self, setup):
         config, params, rng = setup
         tokens = np.array([4, 9, 11])
-        h_que = encode_question(tokens[None, :], np.ones((1, 3)), params, config)
+        h_que = encode_question(tokens[None, :], [3], params, config)
         x = take_rows(params.embedding, tokens)
         _, sent_vec = run_sequence(x, Tensor(np.zeros((1, 6))), params.encoder)
         np.testing.assert_allclose(h_que.data, sent_vec.data, atol=1e-12)
@@ -251,7 +251,7 @@ class TestMemoryModule:
         ex = toy_example(rng, n_sent=n_sent)
         batch = make_batch([ex])
         h_que, h_sen, h_final, _ = read_document(batch, params, config)
-        out = memory_module(h_que, h_sen, batch.sentence_mask, h_final, params, config)
+        out = memory_module(h_que, h_sen, batch.story_lengths, h_final, params, config)
         return out, h_que, h_sen, h_final, batch
 
     def test_single_sentence_weight_is_one(self, setup):
@@ -297,7 +297,7 @@ class TestDecoder:
         ex.answer = list(ans)
         batch = make_batch([ex])
         h_que, h_sen, h_final, _ = read_document(batch, params, config)
-        memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask,
+        memories, _, _ = memory_module(h_que, h_sen, batch.story_lengths,
                                        h_final, params, config)
         return config, params, batch, memories
 
@@ -407,12 +407,13 @@ def attentive_cell_step(x: Tensor, h_prev, states: Tensor, cell: StackSpec,
     return out, new_hs, weights, context
 
 
-def composed_memory(h_que, h_sen, mask, h_final, params, config):
+def composed_memory(h_que, h_sen, lengths, h_final, params, config):
     """The memory module as composed tape ops, one `attentive_cell_step` per
     step; returns per step (memories, weights, contexts), the [B, e] and
     [B, k] tensors that `memory_module` returns stacked."""
     hs = [h_final] + [Tensor(np.zeros_like(h_final.data)) for _ in range(config.depth - 1)]
     k = h_sen.shape[0] // h_que.shape[0]
+    mask = None if lengths is None else (np.arange(k) < np.asarray(lengths)[:, None]).astype(float)
     memories, weights, contexts = [], [], []
     for _ in range(config.memories):
         out, hs, w, context = attentive_cell_step(h_que, hs, h_sen, params.memory_cell,
@@ -445,18 +446,19 @@ def weighted_loss(tensor, weights):
 
 
 def attentive_case(depth, m, b, steps, seed=0, dtype=np.float64):
-    """Parameters, question, sentence states (masked when B > 1), targets
-    and loss weights for the attentive-op tests, float64 unless ``dtype``."""
+    """Parameters, question, sentence states (padded when B > 1) and their
+    lengths, targets and loss weights for the attentive-op tests, float64
+    unless ``dtype``."""
     config = toy_config(size=5, depth=depth, memories=m, vocab_size=9)
     params = init_params(config, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 1)
     k = 4
     state = lambda rows: Tensor(rng.normal(size=(rows, 5)).astype(dtype), requires_grad=True)
     h_que, h_sen, h_final = state(b), state(b * k), state(b)
-    mask = (np.arange(k) < np.array([k, 2, 1][:b])[:, None]).astype(float)
+    lengths = np.array([k, 2, 1][:b])
     targets = rng.integers(0, 9, size=(b, steps))
     weights = rng.normal(size=(b * m, 5)), rng.normal(size=(b * steps, 9))
-    return config, params, (h_que, h_sen, mask, h_final), targets, weights
+    return config, params, (h_que, h_sen, lengths, h_final), targets, weights
 
 
 class TestAttentiveOps:
@@ -514,12 +516,12 @@ class TestAttentiveOps:
 
     @pytest.mark.parametrize("depth, m, b", itertools.product((1, 2), (1, 3), (1, 3)))
     def test_memory_layer_grad_check(self, depth, m, b):
-        config, params, (h_que, h_sen, mask, h_final), _, (mw, _) = \
+        config, params, (h_que, h_sen, lengths, h_final), _, (mw, _) = \
             attentive_case(depth, m, b, 1, seed=depth + m + b)
         tensors = [h_que, h_sen, h_final] + [t for name, t in params.named_parameters()
                                              if name.startswith("memory")]
         err = grad_check(lambda *_: weighted_loss(memory_module(
-            h_que, h_sen, mask, h_final, params, config)[0], mw), tensors)
+            h_que, h_sen, lengths, h_final, params, config)[0], mw), tensors)
         assert err < 1e-4
 
     @pytest.mark.parametrize("depth, m, b, steps",
@@ -540,7 +542,7 @@ class TestAttentiveOps:
         batch = make_batch([toy_example(rng, n_sent=4, ans_len=2)])
         h_que, h_sen, h_final, _ = read_document(batch, params, config)
         with Tape() as tape:
-            memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask, h_final,
+            memories, _, _ = memory_module(h_que, h_sen, batch.story_lengths, h_final,
                                            params, config)
             assert len(tape.nodes) == 1 and tape.nodes[0].output is memories
             assert memories.shape == (3, 6)  # B=1 x 3 memories
@@ -564,8 +566,10 @@ class TestAttentiveOps:
         config, params, rng = setup
         h_que = Tensor(rng.normal(size=(2, 6)))
         h_sen = Tensor(rng.normal(size=(6, 6)))
-        with pytest.raises(MaskError):
-            memory_module(h_que, h_sen, np.array([[1, 1, 0], [0, 0, 0]]), h_que, params, config)
+        with pytest.raises(MaskError):  # a story of no statements
+            memory_module(h_que, h_sen, np.array([2, 0]), h_que, params, config)
+        with pytest.raises(MaskError):  # more statements than the 3 states
+            memory_module(h_que, h_sen, np.array([2, 4]), h_que, params, config)
         with pytest.raises(ShapeError):
             memory_module(h_que, h_sen, np.ones((2, 2)), h_que, params, config)
 
@@ -575,7 +579,7 @@ class TestAttentiveOps:
         h_que, h_sen, h_final, _ = read_document(batch, params, config)
         params.memory_attention.w1.data[0, 0] = np.inf
         with pytest.raises(NumericError, match="memory_layer"):
-            memory_module(h_que, h_sen, batch.sentence_mask, h_final, params, config)
+            memory_module(h_que, h_sen, batch.story_lengths, h_final, params, config)
         params.decoder_cell.layers[0].b.data[0] = np.inf
         with pytest.raises(NumericError, match="decoder_layer"):
             decode_greedy(h_final, params, config)
@@ -620,15 +624,15 @@ class TestForward:
         batch = make_batch([ex, big])
         assert batch.story.shape == (2, 4, 5)
         h_que, h_sen, h_final, _ = read_document(batch, params, config)
-        memories, _, _ = memory_module(h_que, h_sen, batch.sentence_mask,
+        memories, _, _ = memory_module(h_que, h_sen, batch.story_lengths,
                                        h_final, params, config)
         logits, _ = decode_teacher_forced(memories, batch.answer, params)
         total = 0.0
         for t, row in enumerate(logits.data.reshape(2, -1, 14)[0]):  # example 0's steps
-            if batch.answer_mask[0, t]:
+            if t < batch.answer_lengths[0]:
                 shifted = row - row.max()
                 total += np.log(np.exp(shifted).sum()) - shifted[batch.answer[0, t]]
-        padded = total / batch.answer_mask[0].sum()
+        padded = total / batch.answer_lengths[0]
         assert abs(padded - plain) < 1e-6
 
     def test_parameter_count_closed_form(self):
@@ -673,10 +677,9 @@ def shared_batch():
 def unshared(batch):
     """The same batch with one table row per story slot, then one per question."""
     b, s, lw = batch.story.shape
+    rows = np.concatenate([batch.sentence_rows.reshape(b * s), batch.question_rows])
     return dataclasses.replace(
-        batch, sentences=np.concatenate([batch.story.reshape(b * s, lw), batch.question]),
-        sentence_word_mask=np.concatenate([batch.word_mask.reshape(b * s, lw),
-                                           batch.question_mask]),
+        batch, sentences=batch.sentences[rows], word_lengths=batch.word_lengths[rows],
         sentence_rows=np.arange(b * s).reshape(b, s), question_rows=b * s + np.arange(b))
 
 
@@ -748,7 +751,8 @@ class TestQuestionRows:
         params = init_params(config, seed=depth + b)
         batch = shared_question_batch(b, seed=b)
         h_que, *_ = read_document(batch, params, config)
-        want = encode_question(batch.question, batch.question_mask, params, config)
+        q = batch.question_rows
+        want = encode_question(batch.sentences[q], batch.word_lengths[q], params, config)
         assert h_que.data.dtype == want.data.dtype == np.float32
         np.testing.assert_array_equal(h_que.data, want.data)
 

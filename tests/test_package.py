@@ -50,6 +50,21 @@ def test_benchmark_patch_sites_resolve():
     assert missing == []
 
 
+def test_benchmark_batch_rows_count_by_hand():
+    # perfbench/tracing.py counts each training batch's sentence rows
+    # through Batch.story and Batch.sentence_mask
+    from amnet.data import EncodedExample, make_batch
+
+    def example(story):
+        return EncodedExample(story, list(range(1, len(story) + 1)), [10, 11], [12], [])
+
+    batch = make_batch([example([[4, 5], [6]]), example([[4, 5], [6], [7, 8], [4, 5]]),
+                        example([[9]])])
+    # 3 stories of 4 slots; 2 + 4 + 1 statements; [4, 5], [6], [7, 8], [9]
+    # and the all-PAD row of the padded slots
+    assert _tracing().batch_rows(batch) == {"padded": 12, "real": 7, "distinct": 5}
+
+
 class _References(ast.NodeVisitor):
     """Every name read as a bare name or an attribute, except inside the
     body of a def or class of the same name (its own definition) or of a

@@ -270,7 +270,9 @@ class TestEvaluate:
         import amnet.training as T
 
         def fake_predict(batch, params, config, want_records=False):
-            return [list(e.answer) for e in batch.examples], None
+            # each gold answer, its EOS cut off
+            return [row[:n - 1] for row, n in zip(batch.answer.tolist(),
+                                                  batch.answer_lengths.tolist())], None
 
         monkeypatch.setattr(T, "predict_batch", fake_predict)
         assert evaluate(params, config, data.train) == 0.0
